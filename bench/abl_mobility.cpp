@@ -5,20 +5,11 @@
 // per-packet elections track the moving topology for free, while AODV's
 // cached next hops break and must be re-discovered.
 //
-// Each (speed, protocol) cell runs serial (shards = 1) and sharded
-// (shards = 4): mobility now runs on the parallel engine (replicated
-// waypoint schedules + deterministic node migration at window barriers),
-// and the shards/threads columns track its speedup at fixed semantics.
-// Results are bit-identical across shard counts (gated by
-// tests/sharded_test.cpp), so any drift between a K = 1 row and its K = 4
-// twin is a bug, and the shape check below enforces that on the delivery
-// column. Flags: --quick, --nodes, --seed, --reps, --shards K (single
-// custom shard count).
+// Flags: --quick, --nodes, --seed, --reps.
 #include <algorithm>
-#include <thread>
 
 #include "bench_common.hpp"
-#include "sim/runner.hpp"
+#include "sim/replication.hpp"
 
 int main(int argc, char** argv) {
   using namespace rrnet;
@@ -38,56 +29,30 @@ int main(int argc, char** argv) {
 
   std::vector<double> speeds = {0.5, 2, 5, 10, 20};
   if (flags.get_bool("quick", false)) speeds = {0.5, 10};
-  std::vector<std::uint32_t> shard_counts = {1, 4};
-  if (flags.has("shards")) {
-    shard_counts = {static_cast<std::uint32_t>(flags.get_int("shards", 1))};
-  }
-  const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
 
-  util::Table table({"speed_mps", "protocol", "shards", "threads", "delivery",
-                     "delay_s", "avg_hops", "mac_per_delivered"});
+  util::Table table({"speed_mps", "protocol", "delivery", "delay_s",
+                     "avg_hops", "mac_per_delivered"});
   for (const double speed : speeds) {
     for (const auto kind :
          {sim::ProtocolKind::Routeless, sim::ProtocolKind::Aodv}) {
-      for (const std::uint32_t shards : shard_counts) {
-        sim::ScenarioConfig config = base;
-        config.protocol = kind;
-        config.mobility_min_speed_mps = std::max(0.1, speed / 2.0);
-        config.mobility_max_speed_mps = speed;
-        config.shards = shards;
-        config.shard_threads = 0;  // auto: min(hw, shards) per replication
-        const std::uint32_t threads = shards == 1 ? 1 : std::min(hw, shards);
-        const sim::Aggregated agg =
-            sim::run_replications(config, replications);
-        table.add_row({speed, std::string(sim::to_string(kind)),
-                       static_cast<double>(shards),
-                       static_cast<double>(threads), agg.delivery_ratio.mean,
-                       agg.delay_s.mean, agg.hops.mean,
-                       agg.mac_per_delivered.mean});
-      }
+      sim::ScenarioConfig config = base;
+      config.protocol = kind;
+      config.mobility_min_speed_mps = std::max(0.1, speed / 2.0);
+      config.mobility_max_speed_mps = speed;
+      const sim::Aggregated agg = sim::run_replications(config, replications);
+      table.add_row({speed, std::string(sim::to_string(kind)),
+                     agg.delivery_ratio.mean, agg.delay_s.mean, agg.hops.mean,
+                     agg.mac_per_delivered.mean});
     }
     std::fprintf(stderr, "  [speed=%g m/s] done\n", speed);
   }
   bench::emit(table, "abl_mobility.csv");
 
-  // Rows per speed block: |protocols| x |shard_counts|.
-  const std::size_t per_kind = shard_counts.size();
-  const std::size_t last_rr = table.rows() - 2 * per_kind;
-  const std::size_t last_aodv = table.rows() - per_kind;
-  const double rr_fast = std::get<double>(table.at(last_rr, 4));
-  const double aodv_fast = std::get<double>(table.at(last_aodv, 4));
+  const std::size_t last = table.rows() - 2;
+  const double rr_fast = std::get<double>(table.at(last, 2));
+  const double aodv_fast = std::get<double>(table.at(last + 1, 2));
   std::printf("\nshape check: at the highest speed RR delivers %.3f vs AODV "
               "%.3f\n",
               rr_fast, aodv_fast);
-  if (per_kind > 1) {
-    const double rr_sharded = std::get<double>(table.at(last_rr + 1, 4));
-    if (rr_fast != rr_sharded) {
-      std::printf("DRIFT: serial delivery %.6f != sharded %.6f\n", rr_fast,
-                  rr_sharded);
-      return 1;
-    }
-    std::printf("determinism check: serial == sharded delivery at every "
-                "speed row sampled\n");
-  }
   return 0;
 }

@@ -19,7 +19,6 @@
 #include <new>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -81,13 +80,12 @@ using Clock = std::chrono::steady_clock;
 
 struct BenchResult {
   std::string name;
-  std::uint64_t events = 0;   ///< unit of work (events, timers, frames, ...)
-  std::uint32_t threads = 1;  ///< worker threads used (sharded benches > 1)
+  std::uint64_t events = 0;  ///< unit of work (events, timers, frames, ...)
   double seconds = 0.0;
   double best_round_ns = 0.0;  ///< fastest round's ns/event (noise floor)
   std::uint64_t allocations = 0;
   std::uint64_t alloc_bytes = 0;
-  /// Scenario construction cost (serial scenario benches only): ns per node
+  /// Scenario construction cost (scenario benches only): ns per node
   /// to build the full instance — placement, grid, pools, node stacks.
   /// 0 when not measured; check_bench.py gates it when both sides have it.
   double setup_ns_per_node = 0.0;
@@ -365,9 +363,7 @@ BenchResult bench_dense_signals() {
 }
 
 BenchResult bench_scenario(const std::string& name, sim::ProtocolKind proto,
-                           std::size_t nodes, std::size_t pairs,
-                           std::uint32_t shards = 1,
-                           void (*customize)(sim::ScenarioConfig&) = nullptr) {
+                           std::size_t nodes, std::size_t pairs) {
   sim::ScenarioConfig config;
   config.nodes = nodes;
   config.width_m = config.height_m = 1000.0;
@@ -377,40 +373,23 @@ BenchResult bench_scenario(const std::string& name, sim::ProtocolKind proto,
   config.traffic_stop = 6.0;
   config.sim_end = 10.0;
   config.seed = 42;
-  config.shards = shards;
-  // Sharded entries carry runtime telemetry (barrier-wait share, rounds) in
-  // their informational counters. Runtime-gated, round-boundary stamps only:
-  // the sharded time columns are not gated anyway (threads > 1) and the
-  // alloc impact is a handful of setup allocations per run.
-  config.profile_runtime = shards > 1;
-  if (customize != nullptr) customize(config);
-  // Auto worker count (clamped to hardware): under the suite's single-core
-  // taskset pinning, spawning one thread per shard would only measure
-  // oversubscription; results are bit-identical either way.
-  config.shard_threads = 0;
   sim::ScenarioResult last;
   BenchResult bench = measure(name, 1.0, [&]() {
     last = sim::run_scenario(config);
     return last.events_executed;
   });
-  bench.threads =
-      shards == 1 ? 1
-                  : std::min(std::max(1u, std::thread::hardware_concurrency()),
-                             shards);
-  if (shards == 1) {
-    // Construction cost, best of three (same noise-floor rationale as the
-    // main loop). Pools are warm from the measured rounds above, so this is
-    // the steady-state rebuild cost a replication sweep pays per instance.
-    double best_ns = std::numeric_limits<double>::infinity();
-    for (int round = 0; round < 3; ++round) {
-      const auto t0 = Clock::now();
-      sim::SimInstance instance(config);
-      const auto t1 = Clock::now();
-      best_ns = std::min(
-          best_ns, std::chrono::duration<double, std::nano>(t1 - t0).count());
-    }
-    bench.setup_ns_per_node = best_ns / static_cast<double>(nodes);
+  // Construction cost, best of three (same noise-floor rationale as the
+  // main loop). Pools are warm from the measured rounds above, so this is
+  // the steady-state rebuild cost a replication sweep pays per instance.
+  double best_ns = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < 3; ++round) {
+    const auto t0 = Clock::now();
+    sim::SimInstance instance(config);
+    const auto t1 = Clock::now();
+    best_ns = std::min(
+        best_ns, std::chrono::duration<double, std::nano>(t1 - t0).count());
   }
+  bench.setup_ns_per_node = best_ns / static_cast<double>(nodes);
   // Counters are deterministic per seed, so the last round's snapshot is
   // representative. Pool counters are excluded: they depend on how many
   // rounds ran on this thread before (warm arenas), not on the scenario.
@@ -420,16 +399,6 @@ BenchResult bench_scenario(const std::string& name, sim::ProtocolKind proto,
         m::kPhyTxDroppedBusy, m::kPhyDropAbortedOff, m::kMacRetries,
         m::kMacBackoffs, m::kNetTxControl, m::kNetDupCacheHits,
         m::kElectionWon, m::kDesEventsExecuted}) {
-    if (last.metrics.contains(key)) {
-      bench.counters.emplace_back(std::string(key), last.metrics.value(key));
-    }
-  }
-  // Runtime telemetry on the sharded entries: recorded for trend-watching,
-  // never gated (check_bench.py treats shard.* / runtime.* as
-  // informational — wall-clock derived values are machine noise).
-  for (const std::string_view key :
-       {m::kShardRounds, m::kShardExchangeRounds, m::kShardHandoffs,
-        m::kRuntimeBarrierWaitPct}) {
     if (last.metrics.contains(key)) {
       bench.counters.emplace_back(std::string(key), last.metrics.value(key));
     }
@@ -449,12 +418,12 @@ void write_json(const std::string& path, const std::vector<BenchResult>& rs) {
     const BenchResult& r = rs[i];
     char buf[512];
     std::snprintf(buf, sizeof(buf),
-                  "    {\"name\": \"%s\", \"threads\": %u, "
+                  "    {\"name\": \"%s\", "
                   "\"events\": %llu, \"seconds\": "
                   "%.6f, \"events_per_sec\": %.1f, \"ns_per_event\": %.2f, "
                   "\"allocations\": %llu, \"allocs_per_event\": %.4f, "
                   "\"alloc_bytes\": %llu",
-                  r.name.c_str(), r.threads,
+                  r.name.c_str(),
                   static_cast<unsigned long long>(r.events), r.seconds,
                   r.events_per_sec(), r.ns_per_event(),
                   static_cast<unsigned long long>(r.allocations),
@@ -503,32 +472,6 @@ int main(int argc, char** argv) {
                                    sim::ProtocolKind::Routeless, 100, 5));
   results.push_back(
       bench_scenario("fig3_aodv_wallclock", sim::ProtocolKind::Aodv, 100, 5));
-  // Sharded engine (4 strips, one worker per strip) on the SSAF scenario:
-  // tracks the parallel path's overhead/speedup at bench scale. Semantic
-  // counters are bit-identical to the serial entry by construction (gated
-  // by tests/sharded_test.cpp); des.* counters include window-walker
-  // bookkeeping and are only comparable at a fixed shard count.
-  results.push_back(bench_scenario("fig1_ssaf_sharded4",
-                                   sim::ProtocolKind::Ssaf, 80, 1, 4));
-  // Dynamic-ownership paths lifted from the serial-only guard: random
-  // waypoint mobility (replicated position updates + node migration at
-  // window barriers) and Rayleigh fading (counter-based per-link rng).
-  // Both are bit-identical to their serial twins by the sharded_test.cpp
-  // gates; these entries track the wall-clock and counter baselines of the
-  // migration/LinkRng machinery itself.
-  results.push_back(bench_scenario(
-      "fig5_mobility_sharded4", sim::ProtocolKind::Ssaf, 80, 2, 4,
-      [](sim::ScenarioConfig& config) {
-        config.mobility = true;
-        config.mobility_min_speed_mps = 5.0;
-        config.mobility_max_speed_mps = 15.0;
-        config.shard_window_batch = 4;
-      }));
-  results.push_back(bench_scenario(
-      "fig1_ssaf_rayleigh_sharded4", sim::ProtocolKind::Ssaf, 80, 1, 4,
-      [](sim::ScenarioConfig& config) {
-        config.propagation = sim::PropagationKind::Rayleigh;
-      }));
   write_json(out, results);
   std::fprintf(stderr, "wrote %s\n", out.c_str());
   return 0;

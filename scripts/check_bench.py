@@ -23,26 +23,10 @@ baselines without counters still gate on time/allocations alone.
 Benchmarks present on only one side are reported but never fail the gate,
 so adding a benchmark does not require lockstep baseline updates.
 
-Entries may carry a "threads" dimension (default 1; the sharded engine's
-benches record their worker count). Timing is only gated for
-single-threaded entries: a multi-threaded bench pinned to one core (the
-suite runs under taskset) measures oversubscription, not the code. The
-counters gate stays thread-count independent — the sharded engine is
-bit-identical to serial by contract, so counter drift on a threads > 1
-entry is a real regression, not noise. When the threads value itself
-changes between baseline and fresh run, time/alloc comparisons are skipped
-entirely and only counters are gated.
-
 REQUIRED_COUNTERS must appear in every fresh scenario benchmark (any bench
 that exports counters at all). This catches a counter being silently wired
 out of the metric snapshot: `phy.tx_dropped_busy` started life as exactly
 such a silent drop, so its presence is now load-bearing.
-
-Counters whose names start with an INFORMATIONAL_COUNTER_PREFIXES entry
-(the runtime profiler's shard.* / runtime.* telemetry on the sharded
-entries) are printed for trend-watching but never gated: barrier-wait
-share is wall-clock derived, and the round/handoff counts may legitimately
-shift with any engine-internal scheduling change.
 """
 
 import json
@@ -50,19 +34,13 @@ import sys
 from pathlib import Path
 
 TIME_TOLERANCE = 0.35     # +35% ns/event before we call it a regression
-# +0.01 allocs/event absolute. Tightened from 0.02 once the sharded
-# entries' per-run construction churn (MetricRegistry map nodes, grid
-# vector-of-vectors, Transmission regrowth) was pooled/flattened: the
-# worst entry now sits near 0.011, so the old band could hide a 3x jump.
+# +0.01 allocs/event absolute. The per-run construction churn
+# (MetricRegistry map nodes, grid vector-of-vectors, Transmission regrowth)
+# is pooled/flattened, so every scenario entry sits below 0.005 and a wider
+# band could hide a multi-x jump.
 ALLOC_TOLERANCE = 0.01
 COUNTER_TOLERANCE = 0.10  # +/-10% relative drift per behaviour counter
 REQUIRED_COUNTERS = ("phy.tx_dropped_busy",)
-# Recorded-not-gated telemetry (runtime profiler output on sharded entries).
-INFORMATIONAL_COUNTER_PREFIXES = ("shard.", "runtime.")
-
-
-def informational(key):
-    return key.startswith(INFORMATIONAL_COUNTER_PREFIXES)
 
 
 def load(path):
@@ -99,18 +77,14 @@ def main(argv):
         base_allocs = base["allocs_per_event"]
         got_allocs = got["allocs_per_event"]
         alloc_limit = base_allocs + ALLOC_TOLERANCE
-        base_threads = base.get("threads", 1)
-        got_threads = got.get("threads", 1)
-        gate_time = base_threads == 1 and got_threads == 1
-        gate_allocs = base_threads == got_threads
         verdict = "ok"
-        if gate_time and got_ns > ns_limit:
+        if got_ns > ns_limit:
             verdict = "REGRESSION(time)"
             failures.append(
                 f"{name}: {got_ns:.1f} ns/ev exceeds {base_ns:.1f} "
                 f"+{TIME_TOLERANCE:.0%} = {ns_limit:.1f}"
             )
-        if gate_allocs and got_allocs > alloc_limit:
+        if got_allocs > alloc_limit:
             verdict = "REGRESSION(allocs)"
             failures.append(
                 f"{name}: {got_allocs:.4f} allocs/ev exceeds "
@@ -122,7 +96,7 @@ def main(argv):
         # passes, and this keeps that from silently regressing.
         base_setup = base.get("setup_ns_per_node")
         got_setup = got.get("setup_ns_per_node")
-        if gate_time and base_setup is not None and got_setup is not None:
+        if base_setup is not None and got_setup is not None:
             setup_limit = base_setup * (1.0 + TIME_TOLERANCE)
             if got_setup > setup_limit:
                 verdict = "REGRESSION(setup)"
@@ -142,8 +116,6 @@ def main(argv):
                         f"fresh run (metric wiring regressed?)"
                     )
         for key in sorted(set(base_counters) & set(got_counters)):
-            if informational(key):
-                continue
             b, g = base_counters[key], got_counters[key]
             band = max(abs(b) * COUNTER_TOLERANCE, 1.0)
             if abs(g - b) > band:
@@ -157,8 +129,6 @@ def main(argv):
             f"(base {base_ns:8.1f}), {got_allocs:.4f} allocs/ev "
             f"(base {base_allocs:.4f})"
         )
-        for key in sorted(k for k in got_counters if informational(k)):
-            print(f"      [info] {key} = {got_counters[key]} (not gated)")
     for name in sorted(set(fresh) - set(baseline)):
         print(f"  [new] {name}: no baseline yet")
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: plain build + tests, then the same suite under
-# ASan/UBSan (second build dir, registered as the "sanitize" configuration).
+# ASan/UBSan (second build dir, registered as the "sanitize" configuration),
+# a JSON export smoke, and the threaded tests under TSan (third build dir).
 #
 # Usage: scripts/verify.sh [--with-bench] [--large-n-smoke]
 #   --with-bench     additionally run the engine benchmark suite and refresh
@@ -59,9 +60,8 @@ if [[ "$LARGE_N_SMOKE" == 1 ]]; then
   echo "== large-n smoke (n=100k SSAF serial, RSS budget) =="
   # Budget: the n=100k SSAF row peaks around 1.1 GiB (node stacks + CSR
   # index + scheduler); 2048 MiB leaves headroom for allocator noise while
-  # still catching an accidental O(n*K) replication or growth-realloc storm.
-  ./build/bench/abl_large_n --nodes 100000 --shards 1 --proto ssaf \
-    --rss-budget-mib 2048
+  # still catching an accidental duplicated index or growth-realloc storm.
+  ./build/bench/abl_large_n --nodes 100000 --proto ssaf --rss-budget-mib 2048
 fi
 
 echo "== sanitize build (address;undefined;trace) + ctest =="
@@ -78,37 +78,29 @@ RRNET_SCHED_QUEUE=ladder \
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
   ctest --test-dir build-sanitize --output-on-failure -j "$JOBS"
 
-echo "== profiled run export (report.json + worker-lane trace) =="
-# The sanitize build has RRNET_TRACE=ON, so this small sharded run captures
-# real WindowSpan/BarrierWait worker lanes. run_profiled exits non-zero
-# when any worker's phase breakdown covers <95% of its round-loop wall
-# (the profiler's accounting contract); both artifacts must be valid JSON.
-./build-sanitize/bench/run_profiled --scenario fig1 --shards 4 --threads 2 \
-  --sim-end 6 --report "$EXPORT_DIR/report.json" \
-  --trace "$EXPORT_DIR/trace.json"
+echo "== profiled run export (report.json + trace.json) =="
+# The sanitize build has RRNET_TRACE=ON, so this short serial run captures
+# real packet-lifecycle and handler-span records; both artifacts must be
+# valid JSON.
+./build-sanitize/bench/run_profiled --scenario fig1 --sim-end 6 \
+  --report "$EXPORT_DIR/report.json" --trace "$EXPORT_DIR/trace.json"
 python3 -m json.tool "$EXPORT_DIR/report.json" >/dev/null
 python3 -m json.tool "$EXPORT_DIR/trace.json" >/dev/null
 
-echo "== tsan build (thread) + sharded/handoff/migration tests =="
-# ThreadSanitizer cannot be combined with ASan/UBSan, so the sharded
-# engine's inter-thread machinery (spin-barrier windows, outbox handoffs,
-# node-migration exchange with its parity-double-buffered window bounds,
-# per-worker tracer rings) gets its own build. sharded_test carries the
-# mobility / fading / fig4-energy determinism gates and the nested
-# replications-x-shards pool test, so TSan sweeps the migration barriers,
-# the LinkRng fading path, and the traveling energy meters on every
-# verify. Only the tests that spawn worker threads or exercise the
-# handoff/partition surface run here — the serial suite is already swept
-# by the ASan/UBSan configuration above.
+echo "== tsan build (thread) + threaded tests =="
+# ThreadSanitizer cannot be combined with ASan/UBSan, so the one thread
+# pool left in the simulator — run_replications, which Sweep::run and the
+# figure binaries go through — gets its own build: sim_test (Replication.*,
+# Sweep.*, the worker-failure rethrow) and obs_test's thread-count
+# independent replication merge.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRRNET_TRACE=ON \
       "-DRRNET_SANITIZE=thread" >/dev/null
-cmake --build build-tsan -j "$JOBS" \
-      --target sharded_test channel_test geom_test mobility_test \
-               energy_failure_test rng_test
-TSAN_OPTIONS=halt_on_error=1 \
-  ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-        -R 'sharded_test|channel_test|geom_test|mobility_test|energy_failure_test|rng_test'
+cmake --build build-tsan -j "$JOBS" --target sim_test obs_test
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/sim_test \
+  --gtest_filter='Replication.*:Sweep.*'
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/obs_test \
+  --gtest_filter='ObsIntegration.ReplicationMergeIsThreadCountIndependent'
 
 if [[ "$WITH_BENCH" == 1 ]]; then
   echo "== engine bench suite =="

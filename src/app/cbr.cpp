@@ -30,7 +30,7 @@ void CbrSource::send_one() {
   const std::uint64_t uid =
       node_->protocol().send_data(target_, config_.payload_bytes);
   ++sent_;
-  stats_->record_sent(uid, now);
+  stats_->record_sent(uid);
   timer_.start(config_.interval, [this]() { send_one(); });
 }
 

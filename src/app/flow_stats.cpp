@@ -2,28 +2,21 @@
 
 namespace rrnet::app {
 
-void FlowStats::record_sent(std::uint64_t uid, des::Time now) {
-  if (log_.has_value()) log_->push_back({now, uid, 0.0, 0, false});
+void FlowStats::record_sent(std::uint64_t uid) {
   ++sent_;
   outstanding_.observe(uid);
 }
 
 void FlowStats::record_delivered(const net::PacketRef& packet, des::Time now) {
-  record_delivered(packet.uid(), packet.created_at(), packet.actual_hops(),
-                   now);
-}
-
-void FlowStats::record_delivered(std::uint64_t uid, des::Time created_at,
-                                 std::uint32_t actual_hops, des::Time now) {
-  if (log_.has_value()) log_->push_back({now, uid, created_at, actual_hops, true});
+  const std::uint64_t uid = packet.uid();
   if (!seen_uids_.observe(uid)) return;  // duplicate delivery
   // Only count deliveries of packets we saw depart; protocols may also
   // deliver control traffic through the same handler in exotic setups.
   if (!outstanding_.erase(uid)) return;
   ++delivered_;
-  delay_.add(now - created_at);
-  hops_.add(static_cast<double>(actual_hops));
-  if (series_.has_value()) series_->add(now, now - created_at);
+  delay_.add(now - packet.created_at());
+  hops_.add(static_cast<double>(packet.actual_hops()));
+  if (series_.has_value()) series_->add(now, now - packet.created_at());
 }
 
 double FlowStats::delivery_ratio() const noexcept {

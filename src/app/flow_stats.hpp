@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "des/time.hpp"
 #include "net/duplicate_cache.hpp"
@@ -37,49 +36,11 @@ class FlowStats {
   explicit FlowStats(std::size_t uid_window = 1u << 16)
       : outstanding_(uid_window), seen_uids_(uid_window) {}
 
-  /// One raw flow event, exactly as it entered record_sent /
-  /// record_delivered (before any dedup). A sharded run logs these per
-  /// shard and replays the time-merged stream into a fresh FlowStats, which
-  /// reproduces the serial run's bookkeeping bit-for-bit (dedup, eviction,
-  /// and FP accumulation all happen in replay order).
-  struct FlowEvent {
-    des::Time time = 0.0;
-    std::uint64_t uid = 0;
-    des::Time created_at = 0.0;   ///< delivered events only
-    std::uint32_t actual_hops = 0;  ///< delivered events only
-    bool delivered = false;
-  };
-
   /// A source handed one packet to its protocol.
-  void record_sent(std::uint64_t uid, des::Time now);
+  void record_sent(std::uint64_t uid);
   /// A destination's application received a packet (call from the node's
   /// delivery handler). Duplicate uids are counted once.
   void record_delivered(const net::PacketRef& packet, des::Time now);
-  /// Same bookkeeping from raw fields (replay path — no packet needed).
-  void record_delivered(std::uint64_t uid, des::Time created_at,
-                        std::uint32_t actual_hops, des::Time now);
-
-  /// Start appending every record_* call to an in-order event log (call
-  /// before the run). The log grows unbounded — meant for shard-local
-  /// stats that are merged and discarded at end of run.
-  void enable_event_log() { log_.emplace(); }
-  /// Null unless enable_event_log() was called.
-  [[nodiscard]] const std::vector<FlowEvent>* event_log() const noexcept {
-    return log_.has_value() ? &*log_ : nullptr;
-  }
-  /// Move the log out (end-of-run harvest); empty when logging is off.
-  [[nodiscard]] std::vector<FlowEvent> take_event_log() noexcept {
-    return log_.has_value() ? std::move(*log_) : std::vector<FlowEvent>{};
-  }
-  /// Apply one logged event as if it had just happened.
-  void replay(const FlowEvent& event) {
-    if (event.delivered) {
-      record_delivered(event.uid, event.created_at, event.actual_hops,
-                       event.time);
-    } else {
-      record_sent(event.uid, event.time);
-    }
-  }
 
   [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
   [[nodiscard]] std::uint64_t delivered() const noexcept { return delivered_; }
@@ -125,7 +86,6 @@ class FlowStats {
   util::Accumulator delay_;
   util::Accumulator hops_;
   std::optional<util::TimeSeries> series_;
-  std::optional<std::vector<FlowEvent>> log_;
 };
 
 }  // namespace rrnet::app

@@ -108,10 +108,6 @@ class ElectionTable {
     return sessions_.size();
   }
   [[nodiscard]] const ElectionStats& stats() const noexcept { return stats_; }
-  /// Carry an evicted node's lifetime counters across a shard migration.
-  /// Sessions themselves never move — a node migrates only when no
-  /// election is armed (active_count() == 0).
-  void restore_stats(const ElectionStats& stats) noexcept { stats_ = stats; }
 
  private:
   friend class ElectionSession;

@@ -6,7 +6,6 @@
 // accidental nondeterminism in network simulators).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -23,11 +22,10 @@ namespace rrnet::des {
                                                std::uint64_t index) noexcept;
 
 /// Derive the seed of a counter-based per-link stream keyed on
-/// (base, tx, rx, draw_index). Pure function of its inputs: any shard, on
-/// any thread, at any point in its own event sequence, reconstructs the
-/// same stream for the same key — which is what makes stochastic
-/// propagation draws replayable when a transmission's receiver walk is
-/// re-run on another shard (see phy::Channel).
+/// (base, tx, rx, draw_index). Pure function of its inputs: at any point
+/// in the event sequence, the same key reconstructs the same stream, so a
+/// stochastic propagation draw depends only on the link and the frame
+/// (see phy::Channel).
 [[nodiscard]] std::uint64_t link_stream_seed(std::uint64_t base,
                                              std::uint32_t tx,
                                              std::uint32_t rx,
@@ -43,24 +41,8 @@ class Xoshiro256 {
   static constexpr result_type max() noexcept { return ~0ULL; }
   result_type operator()() noexcept;
 
-  /// Raw engine state, for node-migration snapshots.
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept {
-    return {s_[0], s_[1], s_[2], s_[3]};
-  }
-  void restore(const std::array<std::uint64_t, 4>& s) noexcept {
-    for (int i = 0; i < 4; ++i) s_[i] = s[i];
-  }
-
  private:
   std::uint64_t s_[4];
-};
-
-/// Snapshot of a full Rng (seed identity + engine position). Moving a node
-/// between shards transfers these verbatim so the adopted node continues
-/// the exact draw sequence the evicted one would have produced.
-struct RngState {
-  std::uint64_t seed = 0;
-  std::array<std::uint64_t, 4> engine{};
 };
 
 /// Convenience distribution wrapper around Xoshiro256.
@@ -89,17 +71,6 @@ class Rng {
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   [[nodiscard]] std::uint64_t next_u64() noexcept { return engine_(); }
 
-  /// Snapshot/restore the full stream position (migration support). The
-  /// seed travels with the engine state so fork() keys stay identical on
-  /// the restoring side.
-  [[nodiscard]] RngState state() const noexcept {
-    return {seed_, engine_.state()};
-  }
-  void restore(const RngState& s) noexcept {
-    seed_ = s.seed;
-    engine_.restore(s.engine);
-  }
-
  private:
   Xoshiro256 engine_;
   std::uint64_t seed_;
@@ -109,8 +80,7 @@ class Rng {
 /// short-lived Rng seeded by link_stream_seed. Stochastic propagation
 /// models consume a handful of uniforms per received-power draw; giving
 /// each (link, draw) its own stream means the value depends only on the
-/// key, never on which shard or thread evaluates it or on how many draws
-/// other links made before it.
+/// key, never on how many draws other links made before it.
 class LinkRng {
  public:
   LinkRng(std::uint64_t base, std::uint32_t tx, std::uint32_t rx,

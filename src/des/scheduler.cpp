@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -125,11 +124,6 @@ bool Scheduler::step() {
 void Scheduler::run() {
   while (step()) {
   }
-}
-
-Time Scheduler::next_event_time() noexcept {
-  return settle_top() ? queue_top().time
-                      : std::numeric_limits<Time>::infinity();
 }
 
 void Scheduler::run_until(Time t_end) {

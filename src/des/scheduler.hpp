@@ -118,12 +118,6 @@ class Scheduler {
   /// Execute at most one event; returns false when the queue is empty.
   bool step();
 
-  /// Absolute time of the earliest live pending event, or +infinity when
-  /// the queue holds none. Non-const: cancelled entries at the top are
-  /// discarded lazily on the way (the same settle run_until/step pay). The
-  /// sharded engine derives its conservative time-window bound from this.
-  [[nodiscard]] Time next_event_time() noexcept;
-
   [[nodiscard]] std::size_t pending_count() const noexcept { return live_; }
   [[nodiscard]] std::uint64_t executed_count() const noexcept {
     return executed_;

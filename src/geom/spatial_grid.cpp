@@ -125,9 +125,8 @@ void SpatialGrid::update_position(std::uint32_t id, Vec2 new_position) {
   }
   // Epoch rule: rebuild once queries have paid (in extra dislodged-list
   // scans) roughly what a rebuild costs, or when the list itself would
-  // make single queries O(n/8). Both triggers are pure counters, so shard
-  // replicas replaying the same moves stay deterministic in results even
-  // if their query mixes (and hence epoch boundaries) differ.
+  // make single queries O(n/8). Epoch boundaries never change query
+  // results, only their cost.
   const std::uint64_t rebuild_cost = positions_.size() + cols_ * rows_;
   if (scan_debt_ >= rebuild_cost ||
       dislodged_.size() >= std::max<std::size_t>(64, positions_.size() / 8)) {
@@ -138,16 +137,6 @@ void SpatialGrid::update_position(std::uint32_t id, Vec2 new_position) {
 Vec2 SpatialGrid::position(std::uint32_t id) const {
   RRNET_EXPECTS(id < positions_.size());
   return positions_[id];
-}
-
-std::size_t SpatialGrid::index_bytes() const noexcept {
-  return offsets_.capacity() * sizeof(std::uint32_t) +
-         ids_.capacity() * sizeof(std::uint32_t) +
-         cell_of_.capacity() * sizeof(std::uint32_t) +
-         base_cell_of_.capacity() * sizeof(std::uint32_t) +
-         dislodged_.capacity() * sizeof(std::uint32_t) +
-         listed_.capacity() * sizeof(std::uint8_t) +
-         positions_.capacity() * sizeof(Vec2);
 }
 
 }  // namespace rrnet::geom

@@ -42,7 +42,7 @@ class SpatialGrid {
 
   /// Rebuild the CSR arrays from current cells and start a new epoch.
   /// Called automatically from `update_position` when the deferred-update
-  /// overhead amortizes a rebuild; callable explicitly at window barriers.
+  /// overhead amortizes a rebuild; callable explicitly too.
   void compact();
 
   [[nodiscard]] Vec2 position(std::uint32_t id) const;
@@ -52,9 +52,6 @@ class SpatialGrid {
   [[nodiscard]] std::size_t pending_updates() const noexcept {
     return dislodged_.size();
   }
-  /// Heap bytes held by the index arrays (capacity, not size) — lets the
-  /// sharded coordinator audit shared-vs-replicated index memory.
-  [[nodiscard]] std::size_t index_bytes() const noexcept;
 
  private:
   [[nodiscard]] std::size_t cell_index(Vec2 p) const noexcept;
@@ -74,8 +71,7 @@ class SpatialGrid {
   std::vector<std::uint8_t> listed_;         // id already on dislodged_
   // Amortization state: each query pays O(|dislodged_|) extra; once that
   // debt exceeds a rebuild cost we compact. Mutable because `query()` is
-  // logically const; only ever written when dislodged_ is non-empty, so a
-  // grid shared read-only across shards (static scenarios) never races.
+  // logically const; only ever written when dislodged_ is non-empty.
   mutable std::uint64_t scan_debt_ = 0;
 };
 

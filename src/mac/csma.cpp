@@ -88,9 +88,6 @@ void CsmaMac::begin_attempt() {
 
 void CsmaMac::start_difs() {
   state_ = TxState::Difs;
-  // DIFS expiry can transmit immediately (a zero backoff draw), so the
-  // sharded engine must know about it before the window bound is computed.
-  channel_->note_armed_tx(scheduler_->now() + params_.difs);
   difs_timer_.start(params_.difs, [this]() { start_backoff(); });
 }
 
@@ -106,15 +103,6 @@ void CsmaMac::start_backoff() {
     transmit_current();
     return;
   }
-  // Only the final slot's expiry transmits, but the whole countdown can run
-  // inside one synchronization window, so the armed-transmit note must be
-  // pushed NOW for the countdown's end. Accumulate hop by hop — each slot
-  // timer fires at exactly (previous expiry + slot_time), so repeating the
-  // same additions reproduces the final expiry bit-for-bit. A pause only
-  // delays the transmit, leaving this note a stale (conservative) bound.
-  des::Time armed = scheduler_->now();
-  for (std::uint32_t i = 0; i < slots_left_; ++i) armed += params_.slot_time;
-  channel_->note_armed_tx(armed);
   backoff_timer_.start(params_.slot_time, [this]() {
     --slots_left_;
     if (slots_left_ == 0) {
@@ -170,7 +158,6 @@ void CsmaMac::transmit_current() {
     // Our own ACK is still on the air; retry one slot later.
     slots_left_ = 1;
     state_ = TxState::Backoff;
-    channel_->note_armed_tx(scheduler_->now() + params_.slot_time);
     backoff_timer_.start(params_.slot_time, [this]() { transmit_current(); });
     return;
   }
@@ -231,10 +218,7 @@ void CsmaMac::transmit_data_now() {
   // The medium is reserved for us (CTS in hand): send after SIFS without a
   // fresh contention round.
   state_ = TxState::Transmitting;
-  channel_->note_armed_tx(scheduler_->now() + params_.sifs);
-  ++pending_deferred_;
   scheduler_->schedule_in(params_.sifs, [this]() {
-    --pending_deferred_;
     if (!current_.has_value()) return;
     const phy::Transceiver& radio = channel_->transceiver(node_id_);
     if (radio.is_off()) {
@@ -263,12 +247,9 @@ void CsmaMac::transmit_data_now() {
 }
 
 void CsmaMac::send_cts(const Frame& rts) {
-  channel_->note_armed_tx(scheduler_->now() + params_.sifs);
-  ++pending_deferred_;
   scheduler_->schedule_in(params_.sifs, [this, src = rts.src,
                                          seq = rts.sequence,
                                          nav = rts.nav_duration]() {
-    --pending_deferred_;
     const phy::Transceiver& radio = channel_->transceiver(node_id_);
     if (radio.is_off() || radio.state() == phy::RadioState::Tx) return;
     // A CTS is a promise of a quiet medium: refuse while any reservation —
@@ -368,11 +349,8 @@ void CsmaMac::finish_current(bool success) {
 }
 
 void CsmaMac::send_ack(const Frame& data_frame) {
-  channel_->note_armed_tx(scheduler_->now() + params_.sifs);
-  ++pending_deferred_;
   scheduler_->schedule_in(params_.sifs, [this, src = data_frame.src,
                                          seq = data_frame.sequence]() {
-    --pending_deferred_;
     const phy::Transceiver& radio = channel_->transceiver(node_id_);
     if (radio.is_off() || radio.state() == phy::RadioState::Tx) return;
     Frame ack;

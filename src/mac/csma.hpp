@@ -51,18 +51,6 @@ struct MacStats {
   }
 };
 
-/// Everything of a MAC that must survive a cross-shard node migration.
-/// Only valid for a quiescent MAC (idle, empty queue, no timers, no
-/// deferred sends): the live machinery never moves, just the counters and
-/// stream position the node would carry into its next frame.
-struct MacMigrationState {
-  des::RngState rng;
-  std::uint32_t next_sequence = 0;
-  des::Time nav_until = 0.0;
-  MacStats stats;
-  std::size_t queue_high_water = 0;
-};
-
 /// Delivery callbacks from the MAC to the network layer.
 class MacListener {
  public:
@@ -107,29 +95,6 @@ class CsmaMac final : public phy::RadioListener, public util::PoolAllocated {
   void on_receive(const phy::Airframe& frame, const phy::RxInfo& info) override;
   void on_tx_done(std::uint64_t frame_id) override;
   void on_medium_changed(bool busy) override;
-
-  // --- Node migration (sharded dynamic ownership) ---
-
-  /// True when no event can re-enter this MAC: nothing in service or
-  /// queued, every timer idle, and no SIFS-deferred ACK/CTS/data lambda
-  /// scheduled (those capture `this` and would dangle after eviction).
-  [[nodiscard]] bool quiescent() const noexcept {
-    return state_ == TxState::Idle && !current_.has_value() &&
-           queue_.empty() && !backoff_timer_.active() &&
-           !difs_timer_.active() && !ack_timer_.active() &&
-           !nav_timer_.active() && pending_deferred_ == 0;
-  }
-  [[nodiscard]] MacMigrationState export_migration_state() const {
-    return {rng_.state(), next_sequence_, nav_until_, stats_,
-            queue_high_water()};
-  }
-  void import_migration_state(const MacMigrationState& s) {
-    rng_.restore(s.rng);
-    next_sequence_ = s.next_sequence;
-    nav_until_ = s.nav_until;
-    stats_ = s.stats;
-    queue_.restore_high_water(s.queue_high_water);
-  }
 
  private:
   enum class TxState : std::uint8_t {
@@ -182,9 +147,6 @@ class CsmaMac final : public phy::RadioListener, public util::PoolAllocated {
   des::Timer nav_timer_;
   des::Time nav_until_ = 0.0;  ///< virtual carrier sense horizon
   bool tx_is_rts_ = false;
-  /// SIFS-deferred send lambdas in flight (they capture `this`); a node
-  /// with any outstanding cannot migrate.
-  std::uint32_t pending_deferred_ = 0;
   MacStats stats_;
 };
 

@@ -14,7 +14,6 @@
 // order is deterministic across toolchains (tested in mac_queue_test.cpp).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 
@@ -44,12 +43,7 @@ class TxQueue {
   [[nodiscard]] std::uint64_t drops() const noexcept { return drops_; }
   /// Deepest the queue has ever been (congestion gauge).
   [[nodiscard]] std::size_t high_water() const noexcept {
-    return std::max(entries_.high_water(), restored_high_water_);
-  }
-  /// Carry an evicted node's high-water mark across a shard migration (the
-  /// gauge is lifetime-deep, so the fresh queue must not reset it).
-  void restore_high_water(std::size_t hw) noexcept {
-    restored_high_water_ = hw;
+    return entries_.high_water();
   }
   [[nodiscard]] bool prioritized() const noexcept { return prioritized_; }
 
@@ -73,7 +67,6 @@ class TxQueue {
   des::QuadHeap<Entry, Earlier> entries_;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t drops_ = 0;
-  std::size_t restored_high_water_ = 0;  ///< migrated-in gauge floor
 };
 
 }  // namespace rrnet::mac

@@ -45,27 +45,6 @@ std::uint32_t DuplicateCache::count(std::uint64_t key) const {
   return it == entries_.end() ? 0u : it->second.count;
 }
 
-std::vector<std::pair<std::uint64_t, std::uint32_t>>
-DuplicateCache::export_entries() const {
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
-  out.reserve(entries_.size());
-  for (const std::uint64_t key : order_) {
-    out.emplace_back(key, entries_.find(key)->second.count);
-  }
-  return out;
-}
-
-void DuplicateCache::restore(
-    const std::vector<std::pair<std::uint64_t, std::uint32_t>>& entries,
-    const DuplicateCacheStats& stats) {
-  RRNET_EXPECTS(entries_.empty() && entries.size() <= capacity_);
-  for (const auto& [key, count] : entries) {
-    order_.push_back(key);
-    entries_.emplace(key, Entry{count, std::prev(order_.end())});
-  }
-  stats_ = stats;
-}
-
 void snapshot_metrics(const DuplicateCache& cache, obs::MetricRegistry& reg) {
   reg.add(obs::metric::kNetDupCacheHits, cache.stats().hits);
   reg.add(obs::metric::kNetDupCacheEvictions, cache.stats().evictions);

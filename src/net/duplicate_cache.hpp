@@ -13,8 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "util/pooled_containers.hpp"
@@ -47,20 +45,6 @@ class DuplicateCache {
   [[nodiscard]] const DuplicateCacheStats& stats() const noexcept {
     return stats_;
   }
-
-  // --- Node migration (sharded dynamic ownership) ---
-
-  /// All (key, count) entries from least- to most-recently observed. Plain
-  /// std::vector on purpose: the snapshot crosses threads, so it must not
-  /// touch a thread-local pool.
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint32_t>>
-  export_entries() const;
-  /// Rebuild an exported cache into this (empty) one, preserving recency
-  /// order, per-key counts, and lifetime stats — eviction behavior on the
-  /// adopting shard continues exactly where the evicted node left off.
-  void restore(
-      const std::vector<std::pair<std::uint64_t, std::uint32_t>>& entries,
-      const DuplicateCacheStats& stats);
 
  private:
   struct Entry {

@@ -9,67 +9,40 @@ namespace rrnet::net {
 Network::Network(des::Scheduler& scheduler, const geom::Terrain& terrain,
                  std::unique_ptr<phy::PropagationModel> model,
                  phy::RadioParams radio_params, mac::MacParams mac_params,
-                 std::vector<geom::Vec2> positions, des::Rng root_rng,
-                 phy::ShardSpec shard,
-                 std::shared_ptr<const geom::SpatialGrid> shared_index)
-    : scheduler_(&scheduler), root_rng_(root_rng), mac_params_(mac_params) {
-  const std::size_t n =
-      shared_index ? shared_index->size() : positions.size();
+                 std::vector<geom::Vec2> positions, des::Rng root_rng)
+    : scheduler_(&scheduler) {
+  const std::size_t n = positions.size();
   RRNET_EXPECTS(n > 0);
   channel_ = std::make_unique<phy::Channel>(
       scheduler, terrain, std::move(model), radio_params, std::move(positions),
-      root_rng.fork("channel"), std::move(shard), std::move(shared_index));
+      root_rng.fork("channel"));
   nodes_.reserve(n);
   for (std::uint32_t id = 0; id < n; ++id) {
-    // Fork the per-node stream even for remote ids: forks are keyed off the
-    // parent seed (not stream position), so this is only documentation that
-    // id-keyed forking is what keeps shards bit-compatible with serial.
-    des::Rng node_rng = root_rng.fork("node", id);
-    if (!channel_->owns(id)) {
-      nodes_.push_back(nullptr);
-      continue;
-    }
-    nodes_.push_back(
-        std::make_unique<Node>(*this, id, mac_params, node_rng));
+    nodes_.push_back(std::make_unique<Node>(*this, id, mac_params,
+                                            root_rng.fork("node", id)));
   }
 }
 
 Node& Network::node(std::uint32_t id) {
-  RRNET_EXPECTS(id < nodes_.size() && nodes_[id] != nullptr);
+  RRNET_EXPECTS(id < nodes_.size());
   return *nodes_[id];
 }
 
 const Node& Network::node(std::uint32_t id) const {
-  RRNET_EXPECTS(id < nodes_.size() && nodes_[id] != nullptr);
+  RRNET_EXPECTS(id < nodes_.size());
   return *nodes_[id];
-}
-
-Node& Network::adopt_node(std::uint32_t id) {
-  RRNET_EXPECTS(id < nodes_.size() && nodes_[id] == nullptr);
-  RRNET_EXPECTS(channel_->owns(id));
-  channel_->adopt_transceiver(id);  // the MAC attaches to it in the ctor
-  nodes_[id] =
-      std::make_unique<Node>(*this, id, mac_params_, root_rng_.fork("node", id));
-  return *nodes_[id];
-}
-
-void Network::evict_node(std::uint32_t id) {
-  RRNET_EXPECTS(id < nodes_.size() && nodes_[id] != nullptr);
-  RRNET_EXPECTS(!channel_->owns(id));
-  nodes_[id].reset();
-  channel_->evict_transceiver(id);
 }
 
 void Network::start_protocols() {
   for (auto& node : nodes_) {
-    if (node != nullptr && node->has_protocol()) node->protocol().start();
+    if (node->has_protocol()) node->protocol().start();
   }
 }
 
 std::uint64_t Network::total_mac_tx() const noexcept {
   std::uint64_t total = 0;
   for (const auto& node : nodes_) {
-    if (node != nullptr) total += node->mac().stats().total_tx();
+    total += node->mac().stats().total_tx();
   }
   return total;
 }
@@ -89,8 +62,7 @@ void Network::remove_observer(PacketObserver* observer) noexcept {
       observers_.end());
 }
 
-void Network::snapshot_metrics(obs::MetricRegistry& reg,
-                               obs::Histogram* backoff_slots_out) const {
+void Network::snapshot_metrics(obs::MetricRegistry& reg) const {
   namespace m = obs::metric;
   const phy::ChannelStats& ch = channel_->stats();
   reg.add(m::kPhyTransmissions, ch.transmissions);
@@ -98,7 +70,6 @@ void Network::snapshot_metrics(obs::MetricRegistry& reg,
 
   obs::Histogram backoff_slots;
   for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
-    if (nodes_[id] == nullptr) continue;  // remote shard owns this node
     const Node& node = *nodes_[id];
     const phy::TransceiverStats& phy = channel_->transceiver(id).stats();
     reg.add(m::kPhyTxFrames, phy.frames_sent);
@@ -134,9 +105,7 @@ void Network::snapshot_metrics(obs::MetricRegistry& reg,
 
     if (node.has_protocol()) node.protocol().snapshot_metrics(reg);
   }
-  if (backoff_slots_out != nullptr) {
-    backoff_slots_out->merge(backoff_slots);
-  } else if (!backoff_slots.empty()) {
+  if (!backoff_slots.empty()) {
     backoff_slots.snapshot_into(reg, m::kMacBackoffSlots);
   }
 }

@@ -7,7 +7,6 @@
 
 #include "des/rng.hpp"
 #include "des/scheduler.hpp"
-#include "geom/spatial_grid.hpp"
 #include "geom/terrain.hpp"
 #include "mac/csma.hpp"
 #include "net/node.hpp"
@@ -20,19 +19,10 @@ class Network {
  public:
   /// Builds the channel and one node (transceiver + MAC) per position.
   /// Protocols are attached afterwards via node(i).set_protocol(...).
-  /// When `shard` marks this network as one shard of a sharded run, nodes
-  /// (and their transceivers) exist only for owned ids; node(id) on a
-  /// remote id is a contract violation. Rng forks are keyed by node id, so
-  /// every shard hands its nodes the exact streams the serial run would.
-  /// A non-null `shared_index` replaces the per-channel grid build with a
-  /// read-only view of one immutable index (static-position sharded runs);
-  /// `positions` may then be empty.
   Network(des::Scheduler& scheduler, const geom::Terrain& terrain,
           std::unique_ptr<phy::PropagationModel> model,
           phy::RadioParams radio_params, mac::MacParams mac_params,
-          std::vector<geom::Vec2> positions, des::Rng root_rng,
-          phy::ShardSpec shard = {},
-          std::shared_ptr<const geom::SpatialGrid> shared_index = nullptr);
+          std::vector<geom::Vec2> positions, des::Rng root_rng);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -40,29 +30,12 @@ class Network {
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
   [[nodiscard]] Node& node(std::uint32_t id);
   [[nodiscard]] const Node& node(std::uint32_t id) const;
-  /// True iff this network instance owns node `id` (always true serially).
-  [[nodiscard]] bool has_node(std::uint32_t id) const noexcept {
-    return id < nodes_.size() && nodes_[id] != nullptr;
-  }
   [[nodiscard]] phy::Channel& channel() noexcept { return *channel_; }
   [[nodiscard]] const phy::Channel& channel() const noexcept { return *channel_; }
   [[nodiscard]] des::Scheduler& scheduler() noexcept { return *scheduler_; }
 
   /// Call every protocol's start() hook (after all protocols are attached).
   void start_protocols();
-
-  // --- Node migration (sharded dynamic ownership) ---
-
-  /// Build the node (radio + MAC) for an id this shard just adopted. The
-  /// channel's owner map must already name this shard. The node gets the
-  /// same id-keyed rng fork as the serial run — identical child streams —
-  /// and its engine state is then restored from the migration record.
-  /// The protocol and delivery handler are attached by the caller (they
-  /// need scenario context the network does not have).
-  Node& adopt_node(std::uint32_t id);
-  /// Destroy an evicted node and its radio (must run on the owning thread:
-  /// both are pool-allocated).
-  void evict_node(std::uint32_t id);
 
   /// Observers for tracing (not owned). Multiple observers may watch the
   /// same network — e.g. a PathTrace plus an ad-hoc counter in a test; all
@@ -78,23 +51,14 @@ class Network {
   [[nodiscard]] std::uint64_t total_mac_tx() const noexcept;
 
   /// Dump every layer's counters (PHY, MAC, net, per-protocol) into `reg`.
-  /// Pure observation: never mutates simulation state. When
-  /// `backoff_slots_out` is non-null the raw backoff histogram is merged
-  /// into it INSTEAD of being flattened into `reg` — percentile entries do
-  /// not compose across registries, so a sharded run collects the raw
-  /// buckets per shard and flattens the union once.
-  void snapshot_metrics(obs::MetricRegistry& reg,
-                        obs::Histogram* backoff_slots_out = nullptr) const;
+  /// Pure observation: never mutates simulation state.
+  void snapshot_metrics(obs::MetricRegistry& reg) const;
 
  private:
   des::Scheduler* scheduler_;
   std::unique_ptr<phy::Channel> channel_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<PacketObserver*> observers_;
-  /// Retained for adopt_node: forks are keyed off the seed (not stream
-  /// position), so late id-keyed forks reproduce construction-time ones.
-  des::Rng root_rng_;
-  mac::MacParams mac_params_;
 };
 
 }  // namespace rrnet::net

@@ -56,8 +56,7 @@ class Node final : public mac::MacListener, public util::PoolAllocated {
 
   /// Fresh unique packet uid: (node id << 32) | per-node counter. Keyed to
   /// the originating node (not a network-global counter) so the uids a node
-  /// hands out are independent of every other node's traffic — a spatially
-  /// sharded run assigns the same uids as a serial one.
+  /// hands out are independent of every other node's traffic.
   [[nodiscard]] std::uint64_t next_packet_uid() noexcept {
     return (static_cast<std::uint64_t>(id_) << 32) | ++last_uid_;
   }
@@ -86,18 +85,6 @@ class Node final : public mac::MacListener, public util::PoolAllocated {
   }
 
   [[nodiscard]] const NodeStats& stats() const noexcept { return stats_; }
-
-  // --- Node migration (sharded dynamic ownership) ---
-
-  [[nodiscard]] std::uint32_t last_uid() const noexcept { return last_uid_; }
-  /// Overwrite the counters and stream position with an evicted node's so
-  /// the adopted instance continues its exact uid/draw sequences.
-  void restore_migration_state(const NodeStats& stats, std::uint32_t last_uid,
-                               const des::RngState& rng) noexcept {
-    stats_ = stats;
-    last_uid_ = last_uid;
-    rng_.restore(rng);
-  }
 
   // mac::MacListener
   void mac_receive(const mac::Frame& frame, const phy::RxInfo& info,

@@ -46,30 +46,6 @@ PacketRef make_packet(PacketInit init) {
   return PacketRef(PacketBuffer::create(std::move(init)), hop);
 }
 
-PacketRef clone_packet_deep(const PacketRef& ref) {
-  const PacketBuffer& b = ref.buffer();
-  PacketInit init;
-  init.type = b.type();
-  init.origin = b.origin();
-  init.target = b.target();
-  init.sequence = b.sequence();
-  init.uid = b.uid();
-  init.payload_bytes = b.payload_bytes();
-  init.created_at = b.created_at();
-  init.rreq_id = b.rreq_id();
-  init.origin_seqno = b.origin_seqno();
-  init.target_seqno = b.target_seqno();
-  init.unreachable = b.unreachable();
-  init.acked_type = b.acked_type();
-  // A fresh extension from this thread's pools — never a shared Ref.
-  if (b.has_extension()) init.extension = b.extension().get()->clone();
-  init.actual_hops = ref.actual_hops();
-  init.expected_hops = ref.expected_hops();
-  init.ttl = ref.ttl();
-  init.prev_hop = ref.prev_hop();
-  return make_packet(std::move(init));
-}
-
 PacketInit PacketRef::to_init() const {
   PacketInit init;
   init.type = buffer_->type();

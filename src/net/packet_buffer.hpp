@@ -63,13 +63,6 @@ class PacketExtension : public util::PoolAllocated {
 
   [[nodiscard]] ExtensionKind kind() const noexcept { return kind_; }
 
-  /// Allocate an independent copy of this extension from the CALLING
-  /// thread's pools. The cross-shard handoff path uses this to re-home a
-  /// packet onto the destination shard's worker thread: refcounts are
-  /// non-atomic, so a buffer must never be shared across threads — it is
-  /// deep-cloned instead (see clone_packet_deep below).
-  [[nodiscard]] virtual ExtensionRef clone() const = 0;
-
  private:
   friend class ExtensionRef;
   mutable std::uint32_t refs_ = 0;
@@ -393,15 +386,6 @@ class PacketRef {
 /// Originate a packet: one pooled buffer allocation, shared by every copy
 /// of the returned ref for the packet's whole network lifetime.
 [[nodiscard]] PacketRef make_packet(PacketInit init);
-
-/// Rebuild `ref` as a completely independent packet allocated from the
-/// CALLING thread's pools: fresh buffer, fresh extension (virtual clone),
-/// identical header and hop trailer. This is the only legal way to move a
-/// packet across threads — refcounts are non-atomic and buffers pool-local,
-/// so shard handoff re-homes the payload instead of sharing it. Reads the
-/// source buffer through const getters only (never copies a Ref), so the
-/// source thread's refcounts are untouched.
-[[nodiscard]] PacketRef clone_packet_deep(const PacketRef& ref);
 
 /// The calling thread's dedicated PacketBuffer arena (introspection: the
 /// sim layer snapshots its occupancy/alloc counters into run metrics).

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "net/packet_buffer.hpp"
 #include "obs/metrics.hpp"
@@ -15,15 +14,6 @@
 namespace rrnet::net {
 
 class Node;
-
-/// Type-erased protocol state carried across a cross-shard node migration.
-/// Concrete protocols derive their own snapshot struct. Deliberately NOT
-/// pool-allocated: the blob is built on the evicting shard's thread and
-/// read (then destroyed) under the coordinator's barrier ordering, so it
-/// must live on the global allocator, never a thread-local pool.
-struct MigrationBlob {
-  virtual ~MigrationBlob() = default;
-};
 
 class Protocol : public util::PoolAllocated {
  public:
@@ -65,28 +55,6 @@ class Protocol : public util::PoolAllocated {
   virtual void snapshot_metrics(obs::MetricRegistry& reg) const { (void)reg; }
 
   [[nodiscard]] Node& node() const noexcept { return *node_; }
-
-  // --- Node migration (sharded dynamic ownership) ---
-  //
-  // A node can change owning shard only when its whole stack is quiescent.
-  // Protocols OPT IN by overriding all four hooks; the default (not
-  // migratable) is always correct — ownership is pure load balancing, a
-  // node that never migrates just keeps its original strip — so protocols
-  // with live timers or pooled references simply stay put.
-
-  /// Whether this protocol implements state export/import at all.
-  [[nodiscard]] virtual bool migratable() const noexcept { return false; }
-  /// True when no scheduled event or timer can re-enter this protocol
-  /// instance. Only consulted when migratable().
-  [[nodiscard]] virtual bool quiescent() const noexcept { return true; }
-  /// Snapshot all protocol state into a self-contained blob (no pooled
-  /// refs, no pointers into this shard's world).
-  [[nodiscard]] virtual std::unique_ptr<MigrationBlob> export_state() const {
-    return nullptr;
-  }
-  /// Restore an exported blob onto a freshly constructed (and start()ed)
-  /// instance on the adopting shard.
-  virtual void import_state(const MigrationBlob& blob) { (void)blob; }
 
  private:
   Node* node_;

@@ -42,9 +42,8 @@ struct Metric {
 /// intended for end-of-run snapshots, never for per-event updates.
 ///
 /// Storage is a name-sorted flat vector of 64-byte entries with inline
-/// names: the node-and-string churn of the std::map this replaced was the
-/// single largest per-run allocation source in sharded scenarios (one
-/// registry per shard plus merges, every metric name longer than SSO).
+/// names, which avoids the node-and-string churn of a std::map (every
+/// metric name is longer than SSO).
 /// Entries are trivially copyable; a registry's only allocation is its
 /// vector's growth, reserved to typical size on first insert.
 class MetricRegistry {
@@ -208,41 +207,6 @@ inline constexpr std::string_view kPoolObjectHeapAllocs =
     "pool.object_heap_allocs";
 inline constexpr std::string_view kPoolObjectInUseHighWater =
     "pool.object_in_use_high_water";
-
-// Sharded engine internals (absent from serial runs; excluded from the
-// bit-identity contract like des.* / pool.*).
-inline constexpr std::string_view kSimNodeMigrations = "sim.node_migrations";
-
-// Runtime profiler (ScenarioConfig::profile_runtime). Wall-clock derived —
-// engine-internal like sim.*, excluded from bit-identity sweeps. Round
-// counters are replicated across workers, hence gauges; ns totals and
-// handoff/bound counters sum across workers.
-inline constexpr std::string_view kShardRounds = "shard.rounds";
-inline constexpr std::string_view kShardExchangeRounds =
-    "shard.exchange_rounds";
-inline constexpr std::string_view kShardForcedQuietExchanges =
-    "shard.forced_quiet_exchanges";
-inline constexpr std::string_view kShardHandoffs = "shard.handoffs";
-inline constexpr std::string_view kShardProfiledMigrations =
-    "shard.profiled_migrations";
-inline constexpr std::string_view kShardBoundArmedTx = "shard.bound_armed_tx";
-inline constexpr std::string_view kShardBoundPendingPhy =
-    "shard.bound_pending_phy";
-inline constexpr std::string_view kShardBoundNextEvent =
-    "shard.bound_next_event";
-// Histogram prefixes (.count/.sum/.p50/.p99 appended by snapshot_into).
-inline constexpr std::string_view kShardWindowWidthNs =
-    "shard.window_width_ns";
-inline constexpr std::string_view kShardHandoffFanout = "shard.handoff_fanout";
-inline constexpr std::string_view kShardBatchWidth = "shard.batch_width";
-// Phase wall totals across workers + barrier-wait share (percent gauge;
-// per-worker variants are runtime.w<t>.barrier_wait_pct).
-inline constexpr std::string_view kRuntimeExecuteNs = "runtime.execute_ns";
-inline constexpr std::string_view kRuntimeBarrierWaitNs =
-    "runtime.barrier_wait_ns";
-inline constexpr std::string_view kRuntimeExchangeNs = "runtime.exchange_ns";
-inline constexpr std::string_view kRuntimeBarrierWaitPct =
-    "runtime.barrier_wait_pct";
 }  // namespace metric
 
 }  // namespace rrnet::obs

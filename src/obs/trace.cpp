@@ -43,8 +43,6 @@ const char* to_string(EventKind kind) noexcept {
     case EventKind::ArbiterRetransmit: return "arbiter_retransmit";
     case EventKind::ArbiterAck: return "arbiter_ack";
     case EventKind::HandlerSpan: return "handler_span";
-    case EventKind::WindowSpan: return "window_span";
-    case EventKind::BarrierWait: return "barrier_wait";
   }
   return "unknown";
 }
@@ -132,9 +130,7 @@ void append_chrome_preamble(std::ostream& os) {
   os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
         "\"args\":{\"name\":\"network (tid = node id)\"}},\n";
   os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-        "\"args\":{\"name\":\"scheduler\"}},\n";
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,"
-        "\"args\":{\"name\":\"shard workers (tid = worker)\"}}";
+        "\"args\":{\"name\":\"scheduler\"}}";
 }
 
 void append_chrome_record(std::ostream& os, const TraceRecord& r) {
@@ -148,18 +144,6 @@ void append_chrome_record(std::ostream& os, const TraceRecord& r) {
     os << "{\"name\":\"handler\",\"ph\":\"X\",\"ts\":" << ts_us
        << ",\"dur\":" << dur_us
        << ",\"pid\":1,\"tid\":0,\"args\":{\"wall_ns\":" << r.id << "}}";
-    return;
-  }
-  if (kind == EventKind::WindowSpan || kind == EventKind::BarrierWait) {
-    // Worker lanes: one Perfetto row per shard worker (pid 2, tid = worker
-    // index). Positioned on the simulated-time axis at the round's window,
-    // width = that phase's wall-clock cost this round (id carries wall ns).
-    const double dur_us = std::max(static_cast<double>(r.id) * 1e-3, 1e-3);
-    os << "{\"name\":\""
-       << (kind == EventKind::WindowSpan ? "window" : "barrier_wait")
-       << "\",\"ph\":\"X\",\"ts\":" << ts_us << ",\"dur\":" << dur_us
-       << ",\"pid\":2,\"tid\":" << (r.node == kNoTraceNode ? 0u : r.node)
-       << ",\"args\":{\"wall_ns\":" << r.id << "}}";
     return;
   }
   os << "{\"name\":\"" << to_string(kind);
@@ -183,54 +167,6 @@ bool EventTracer::export_chrome_trace(std::ostream& os) const {
   for_each_ordered([&](const TraceRecord& r) { append_chrome_record(os, r); });
   os << "\n]}\n";
   return static_cast<bool>(os);
-}
-
-bool export_records_jsonl(const std::vector<TraceRecord>& records,
-                          std::ostream& os) {
-  for (const TraceRecord& r : records) append_jsonl_record(os, r);
-  return static_cast<bool>(os);
-}
-
-bool export_records_chrome_trace(const std::vector<TraceRecord>& records,
-                                 std::ostream& os) {
-  append_chrome_preamble(os);
-  for (const TraceRecord& r : records) append_chrome_record(os, r);
-  os << "\n]}\n";
-  return static_cast<bool>(os);
-}
-
-std::vector<TraceRecord> merge_records_by_time(
-    const std::vector<std::vector<TraceRecord>>& streams) {
-  std::size_t total = 0;
-  for (const std::vector<TraceRecord>& stream : streams) {
-    total += stream.size();
-  }
-  std::vector<TraceRecord> merged;
-  merged.reserve(total);
-  for (const std::vector<TraceRecord>& stream : streams) {
-    merged.insert(merged.end(), stream.begin(), stream.end());
-  }
-  // Stable: equal timestamps keep (stream, intra-stream) order, so the
-  // merged output is deterministic for a fixed worker count.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.time < b.time;
-                   });
-  return merged;
-}
-
-bool export_records_jsonl_file(const std::vector<TraceRecord>& records,
-                               const std::string& path) {
-  std::ofstream os(path);
-  if (!os) return false;
-  return export_records_jsonl(records, os);
-}
-
-bool export_records_chrome_trace_file(const std::vector<TraceRecord>& records,
-                                      const std::string& path) {
-  std::ofstream os(path);
-  if (!os) return false;
-  return export_records_chrome_trace(records, os);
 }
 
 bool EventTracer::export_jsonl_file(const std::string& path) const {

@@ -19,11 +19,8 @@
 // overwritten ones. Exporters emit JSONL (one record per line) and the
 // Chrome trace-event format — the produced file loads directly in Perfetto
 // (ui.perfetto.dev) or chrome://tracing: packet events are instants on
-// pid 0 with tid = node id, scheduler handler spans are duration events on
-// pid 1 (ts = simulated microseconds, dur = handler wall-clock time), and
-// shard-worker window rounds (WindowSpan / BarrierWait, emitted when
-// ScenarioConfig::profile_runtime is on) are duration events on pid 2 with
-// tid = worker index — one Perfetto lane per worker.
+// pid 0 with tid = node id, and scheduler handler spans are duration events
+// on pid 1 (ts = simulated microseconds, dur = handler wall-clock time).
 #pragma once
 
 #include <cstddef>
@@ -48,8 +45,6 @@ enum class EventKind : std::uint16_t {
   ArbiterRetransmit, ///< arbiter re-triggered an election
   ArbiterAck,        ///< arbiter heard a relay and acknowledged
   HandlerSpan,       ///< one scheduler handler execution; id = wall ns
-  WindowSpan,        ///< one shard-window execute; node = worker, id = wall ns
-  BarrierWait,       ///< one round's barrier spinning; node = worker, id = ns
 };
 
 /// Drop classification shared by PhyDrop and MacDrop records.
@@ -125,26 +120,6 @@ class EventTracer {
   std::uint64_t recorded_ = 0;
   bool enabled_ = false;
 };
-
-/// Exporters over an already-materialized record stream — the sharded
-/// engine merges one per-worker ring per shard thread by timestamp
-/// (sim::run_scenario_sharded) and hands the merged vector here; the
-/// formatting is byte-identical to EventTracer::export_*.
-bool export_records_jsonl(const std::vector<TraceRecord>& records,
-                          std::ostream& os);
-bool export_records_chrome_trace(const std::vector<TraceRecord>& records,
-                                 std::ostream& os);
-bool export_records_jsonl_file(const std::vector<TraceRecord>& records,
-                               const std::string& path);
-bool export_records_chrome_trace_file(const std::vector<TraceRecord>& records,
-                                      const std::string& path);
-
-/// Timestamp-stable merge of per-worker record streams (each already in
-/// capture order): equal timestamps keep stream order, then intra-stream
-/// order. The sharded engine merges its per-worker rings through this; the
-/// ring-wrap tests exercise it directly.
-[[nodiscard]] std::vector<TraceRecord> merge_records_by_time(
-    const std::vector<std::vector<TraceRecord>>& streams);
 
 /// The tracer capturing this thread's events (null = none). Installed per
 /// worker thread by sim::SimInstance, matching the simulator's

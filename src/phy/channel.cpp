@@ -1,9 +1,7 @@
 #include "phy/channel.hpp"
 
 #include <algorithm>
-#include <limits>
 
-#include "net/packet_buffer.hpp"
 #include "obs/trace.hpp"
 #include "phy/units.hpp"
 #include "util/contracts.hpp"
@@ -12,9 +10,7 @@ namespace rrnet::phy {
 
 Channel::Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
                  std::unique_ptr<PropagationModel> model, RadioParams params,
-                 std::vector<geom::Vec2> positions, des::Rng rng,
-                 ShardSpec shard,
-                 std::shared_ptr<const geom::SpatialGrid> shared_index)
+                 std::vector<geom::Vec2> positions, des::Rng rng)
     : scheduler_(&scheduler),
       model_(std::move(model)),
       params_(params),
@@ -27,46 +23,21 @@ Channel::Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
       interference_range_(range_for_threshold(*model_, params.tx_power_dbm,
                                               params.interference_cutoff_dbm,
                                               terrain.diameter())),
+      grid_(terrain, /*cell_size=*/std::max(1.0, interference_range_),
+            positions),
       rng_(rng),
-      shard_(std::move(shard)) {
-  RRNET_EXPECTS(model_ != nullptr);
-  if (shared_index) {
-    RRNET_EXPECTS(positions.empty() ||
-                  positions.size() == shared_index->size());
-    shared_grid_ = std::move(shared_index);
-    grid_ = shared_grid_.get();
-  } else {
-    owned_grid_ = std::make_unique<geom::SpatialGrid>(
-        terrain, /*cell_size=*/std::max(1.0, interference_range_), positions);
-    grid_ = owned_grid_.get();
-  }
-  const std::size_t n = grid_->size();
+      link_seed_base_(rng_.seed()),
+      stochastic_(model_->stochastic()) {
+  const std::size_t n = grid_.size();
   RRNET_EXPECTS(n > 0);
-  RRNET_EXPECTS(shard_.owner.empty() || shard_.owner.size() == n);
   frame_counters_.assign(n, 0);
   transceivers_.reserve(n);
   for (std::uint32_t id = 0; id < n; ++id) {
-    if (!owns(id)) {
-      // Remote node: position indexed (the grid needs every node for
-      // bit-identical receiver walks), radio lives on its owning shard.
-      transceivers_.push_back(nullptr);
-      continue;
-    }
     transceivers_.push_back(std::make_unique<Transceiver>(id, params_));
     // Channel-owned transceivers can always timestamp their own events
     // (turn_off drop records); enable_energy() re-sets the same clock.
     transceivers_.back()->clock_ = scheduler_;
   }
-  if (shard_.sharded()) {
-    outboxes_.resize(shard_.shards);
-    handoff_mark_.assign(shard_.shards, 0);
-    migration_marked_.assign(n, 0);
-  }
-  // Per-link stream base: rng_ is fork-derived from the run's root seed,
-  // so every shard computes the same base and stochastic draws replay
-  // identically wherever the receiver walk runs.
-  link_seed_base_ = rng_.seed();
-  stochastic_ = model_->stochastic();
 }
 
 Channel::~Channel() {
@@ -96,63 +67,27 @@ std::vector<std::uint32_t>& Channel::query_scratch() {
   return scratch;
 }
 
-void Channel::adopt_transceiver(std::uint32_t id) {
-  RRNET_EXPECTS(shard_.sharded() && owns(id) && transceivers_[id] == nullptr);
-  transceivers_[id] = std::make_unique<Transceiver>(id, params_);
-  transceivers_[id]->clock_ = scheduler_;
-}
-
-void Channel::evict_transceiver(std::uint32_t id) {
-  RRNET_EXPECTS(shard_.sharded() && !owns(id) && transceivers_[id] != nullptr);
-  transceivers_[id].reset();
-}
-
 Transceiver& Channel::transceiver(std::uint32_t id) {
-  RRNET_EXPECTS(id < transceivers_.size() && transceivers_[id] != nullptr);
+  RRNET_EXPECTS(id < transceivers_.size());
   return *transceivers_[id];
 }
 
 const Transceiver& Channel::transceiver(std::uint32_t id) const {
-  RRNET_EXPECTS(id < transceivers_.size() && transceivers_[id] != nullptr);
+  RRNET_EXPECTS(id < transceivers_.size());
   return *transceivers_[id];
 }
 
 geom::Vec2 Channel::position(std::uint32_t id) const {
-  return grid_->position(id);
+  return grid_.position(id);
 }
 
 void Channel::set_position(std::uint32_t id, geom::Vec2 position) {
   RRNET_EXPECTS(id < transceivers_.size());
-  // A shared index is immutable by contract (mobility scenarios keep
-  // per-shard replicas), so mutation requires exclusive ownership.
-  RRNET_EXPECTS(owned_grid_ != nullptr);
-  owned_grid_->update_position(id, position);
-  // Dynamic ownership: an owned node that moved out of this strip becomes
-  // a migration candidate, picked up (and re-checked for quiescence) at the
-  // next window barrier. O(movers) — mobility models replicate position
-  // updates on every shard, but only the owner marks.
-  if (shard_.sharded() && shard_.strip_width > 0.0 && owns(id) &&
-      shard_of_position(position) != shard_.shard &&
-      migration_marked_[id] == 0) {
-    migration_marked_[id] = 1;
-    migration_candidates_.push_back(id);
-  }
-}
-
-des::Time Channel::heap_front(std::vector<des::Time>& heap, des::Time now) {
-  // Entries at or before `now` already executed inside the closed window
-  // run_until(now) just finished; drop them lazily here.
-  while (!heap.empty() && heap.front() <= now) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-    heap.pop_back();
-  }
-  return heap.empty() ? std::numeric_limits<des::Time>::infinity()
-                      : heap.front();
+  grid_.update_position(id, position);
 }
 
 bool Channel::transmit(const Airframe& frame) {
   RRNET_EXPECTS(frame.sender < transceivers_.size());
-  RRNET_EXPECTS(owns(frame.sender));
   Transceiver& sender = *transceivers_[frame.sender];
   if (sender.is_off()) {
     ++sender.stats_.tx_dropped_off;
@@ -175,70 +110,25 @@ bool Channel::transmit(const Airframe& frame) {
     RRNET_TRACE_EVENT(obs::EventKind::PhyTxEnd, scheduler_->now(), s, id, 0);
     transceivers_[s]->end_transmit(id, scheduler_->now());
   });
-  if (shard_.sharded()) {
-    phy_event_heap_.push_back(now + duration);
-    std::push_heap(phy_event_heap_.begin(), phy_event_heap_.end(),
-                   std::greater<>{});
-  }
-  start_transmission(frame, now, duration,
-                     /*record_handoffs=*/shard_.sharded());
-  return true;
-}
 
-void Channel::inject_remote(const ShardHandoff& handoff) {
-  RRNET_EXPECTS(shard_.sharded());
-  RRNET_EXPECTS(!owns(handoff.frame.sender));
-  // Re-home the payload: the handoff's PacketRef points into the SOURCE
-  // shard's (thread's) non-atomic pool. The buffer header is immutable in
-  // flight, so reading through the const ref is safe — but copying the ref
-  // would bump that non-atomic refcount from this thread (two destination
-  // shards injecting the same broadcast would race on it). Build the local
-  // frame field by field, deep-cloning the payload straight from the
-  // source ref; the source's refcount is only ever moved by its own thread
-  // (it clears its outboxes at the next window start).
-  const Airframe& src = handoff.frame;
-  Airframe frame;
-  frame.id = src.id;
-  frame.sender = src.sender;
-  frame.size_bytes = src.size_bytes;
-  frame.frame.kind = src.frame.kind;
-  frame.frame.src = src.frame.src;
-  frame.frame.dst = src.frame.dst;
-  frame.frame.sequence = src.frame.sequence;
-  frame.frame.size_bytes = src.frame.size_bytes;
-  frame.frame.nav_duration = src.frame.nav_duration;
-  if (src.frame.payload) {
-    frame.frame.payload = net::clone_packet_deep(src.frame.payload);
-  }
-  start_transmission(frame, handoff.tx_time, handoff.duration,
-                     /*record_handoffs=*/false);
-}
-
-void Channel::start_transmission(const Airframe& frame, des::Time tx_time,
-                                 des::Time duration, bool record_handoffs) {
-  const geom::Vec2 origin = grid_->position(frame.sender);
+  const geom::Vec2 origin = grid_.position(frame.sender);
   std::vector<std::uint32_t>& query_buffer = query_scratch();
-  grid_->query(origin, interference_range_, query_buffer);
+  grid_.query(origin, interference_range_, query_buffer);
   const std::uint32_t slot = acquire_transmission();
   Transmission& tx = *transmissions_[slot];
   tx.frame = frame;
   tx.duration = duration;
-  if (record_handoffs) ++handoff_epoch_;
   // Stochastic models draw from counter-based per-link streams keyed on
-  // (base, sender, receiver, per-sender frame counter) — a pure function of
-  // the transmission, not of draw history — so a destination shard
-  // replaying this walk reproduces every fade bit-for-bit no matter what
-  // its own channel drew in between. The per-sender counter is the low
-  // half of frame.id, which travels inside the handoff.
+  // (base, sender, receiver, per-sender frame counter), so each fade is a
+  // pure function of the transmission, not of the channel's draw history.
+  // The per-sender counter is the low half of frame.id.
   const auto draw_index = frame.id & 0xFFFFFFFFULL;
-  // `order` counts every cutoff-passing receiver in grid-query order —
-  // including ones this shard does not own — so the equal-arrival
-  // tie-break below is the GLOBAL receiver index and a sharded replay
-  // interleaves identically to the serial walk.
+  // `order` counts every cutoff-passing receiver in grid-query order: the
+  // tie-break for equal arrivals below.
   std::uint32_t order = 0;
   for (const std::uint32_t rx_id : query_buffer) {
     if (rx_id == frame.sender) continue;
-    const double dist = geom::distance(origin, grid_->position(rx_id));
+    const double dist = geom::distance(origin, grid_.position(rx_id));
     // Power draws stay in grid-query order at transmit time; positions and
     // powers are pinned here, so signals in flight ignore later mobility.
     // Drawn in mW: the linear entry point spares a log10 per draw and the
@@ -251,23 +141,12 @@ void Channel::start_transmission(const Airframe& frame, des::Time tx_time,
       power_mw = model_->rx_power_mw(tx_power_mw_, dist, rng_);
     }
     if (power_mw < interference_cutoff_mw_) continue;  // imperceptible
-    const std::uint32_t rx_order = order++;
-    if (!owns(rx_id)) {
-      if (record_handoffs) {
-        const std::uint32_t dst = shard_.owner[rx_id];
-        if (handoff_mark_[dst] != handoff_epoch_) {
-          handoff_mark_[dst] = handoff_epoch_;
-          outboxes_[dst].push_back({tx_time, duration, frame});
-        }
-      }
-      continue;
-    }
-    tx.receivers.push_back({tx_time + dist / des::kSpeedOfLight, power_mw,
-                            rx_id, rx_order, SignalMap::kNoSlot, false});
+    tx.receivers.push_back({now + dist / des::kSpeedOfLight, power_mw, rx_id,
+                            order++, SignalMap::kNoSlot, false});
   }
   if (tx.receivers.empty()) {
     release_transmission(slot);
-    return;
+    return true;
   }
   // Equal arrivals keep grid-query order (the `order` field), matching the
   // sequence order the unfused per-receiver events would have had. Plain
@@ -278,14 +157,9 @@ void Channel::start_transmission(const Airframe& frame, des::Time tx_time,
               return a.arrival != b.arrival ? a.arrival < b.arrival
                                             : a.order < b.order;
             });
-  const des::Time first = tx.receivers.front().arrival;
-  scheduler_->schedule_at(first,
+  scheduler_->schedule_at(tx.receivers.front().arrival,
                           [this, slot]() { advance_transmission(slot); });
-  if (shard_.sharded()) {
-    phy_event_heap_.push_back(first);
-    std::push_heap(phy_event_heap_.begin(), phy_event_heap_.end(),
-                   std::greater<>{});
-  }
+  return true;
 }
 
 void Channel::advance_transmission(std::uint32_t slot) {
@@ -307,11 +181,6 @@ void Channel::advance_transmission(std::uint32_t slot) {
     if (due > now) {
       scheduler_->schedule_at(due,
                               [this, slot]() { advance_transmission(slot); });
-      if (shard_.sharded()) {
-        phy_event_heap_.push_back(due);
-        std::push_heap(phy_event_heap_.begin(), phy_event_heap_.end(),
-                       std::greater<>{});
-      }
       return;
     }
     if (do_start) {

@@ -14,9 +14,7 @@
 // ends; equal arrivals in query order) are preserved bit-for-bit.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -35,58 +33,13 @@ struct ChannelStats {
   std::uint64_t deliveries = 0;     ///< successful (frame, receiver) decodes
 };
 
-/// Sharded-mode identity: which spatial shard this channel instance is and
-/// the owning shard of every node id. Default-constructed = serial mode
-/// (one shard owning everything). In shard mode the channel still indexes
-/// ALL positions (the full grid is what lets it re-run a remote
-/// transmission's receiver walk bit-identically), but it creates
-/// transceivers only for owned nodes and records transmissions that reach
-/// other shards into per-destination outboxes.
-struct ShardSpec {
-  std::uint32_t shard = 0;   ///< this channel's shard index
-  std::uint32_t shards = 1;  ///< total shard count
-  /// owner[id] = owning shard of node id; empty means serial (all local).
-  /// Mutable after construction: mobility migrates nodes between strips
-  /// (set_owner), and every shard applies the same migration records in the
-  /// same order, so the maps never diverge.
-  std::vector<std::uint32_t> owner;
-  /// Width of one vertical strip (terrain width / shards). Zero means
-  /// ownership is static (no migration candidates are ever marked); the
-  /// sharded engine sets it so set_position can detect strip crossings with
-  /// the exact arithmetic of geom::ShardPartition::shard_of.
-  double strip_width = 0.0;
-  [[nodiscard]] bool sharded() const noexcept { return shards > 1; }
-};
-
-/// One cross-shard transmission: everything the destination shard needs to
-/// replay the receiver walk locally. Deliberately minimal — the destination
-/// re-derives arrivals, powers, and global receiver order from its own full
-/// position grid and the (deterministic) propagation model, so the replay
-/// is bitwise identical to the serial walk. The embedded frame still
-/// references the SOURCE shard's pooled packet buffer; the destination
-/// deep-clones it at injection time (inject_remote) and never retains it.
-struct ShardHandoff {
-  des::Time tx_time = 0.0;   ///< when the frame was put on the air
-  des::Time duration = 0.0;  ///< its airtime
-  Airframe frame;
-};
-
 class Channel {
  public:
   /// `positions[i]` is the location of node i; one transceiver is created
-  /// per node (per OWNED node when `shard` says this channel is one shard
-  /// of a sharded run). The scheduler, model, and params must outlive the
-  /// channel.
-  ///
-  /// When `shared_index` is non-null the channel queries that immutable
-  /// grid instead of building its own (the sharded engine passes one index
-  /// to every static-position shard, cutting index memory from O(n*K) to
-  /// O(n)); `positions` may then be empty, and set_position is forbidden.
+  /// per node. The scheduler, model, and params must outlive the channel.
   Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
           std::unique_ptr<PropagationModel> model, RadioParams params,
-          std::vector<geom::Vec2> positions, des::Rng rng,
-          ShardSpec shard = {},
-          std::shared_ptr<const geom::SpatialGrid> shared_index = nullptr);
+          std::vector<geom::Vec2> positions, des::Rng rng);
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
@@ -115,22 +68,12 @@ class Channel {
     return interference_range_;
   }
 
-  /// Heap bytes of the spatial index this channel queries; `owns_index()`
-  /// is false when the index is shared across shards (static scenarios).
-  [[nodiscard]] std::size_t index_bytes() const noexcept {
-    return grid_->index_bytes();
-  }
-  [[nodiscard]] bool owns_index() const noexcept {
-    return owned_grid_ != nullptr;
-  }
-
   [[nodiscard]] const ChannelStats& stats() const noexcept { return stats_; }
 
   /// Fresh unique frame id for a frame sent by `sender` (MACs stamp
   /// outgoing frames with this). Ids are (sender << 32) | per-sender
   /// counter, so the sequence a node draws is independent of every other
-  /// node's transmissions — a spatially sharded run hands out the same ids
-  /// as a serial one.
+  /// node's transmissions.
   [[nodiscard]] std::uint64_t next_frame_id(std::uint32_t sender) noexcept {
     RRNET_EXPECTS(sender < frame_counters_.size());
     return (static_cast<std::uint64_t>(sender) << 32) |
@@ -141,137 +84,6 @@ class Channel {
   /// start after the call; signals already in flight keep the powers
   /// computed at their transmit time.
   void set_position(std::uint32_t id, geom::Vec2 position);
-
-  // --- Sharded-mode surface (all no-ops / trivially true in serial mode) ---
-
-  [[nodiscard]] bool sharded() const noexcept { return shard_.sharded(); }
-  /// True iff node `id` lives on this shard (always true serially).
-  [[nodiscard]] bool owns(std::uint32_t id) const noexcept {
-    return shard_.owner.empty() || shard_.owner[id] == shard_.shard;
-  }
-
-  /// MAC layers call this whenever they arm a timer whose expiry can put a
-  /// frame on the air without an intervening DIFS (sifs-deferred responses,
-  /// the final backoff slot, DIFS expiry itself). The sharded engine's
-  /// conservative window bound is min(earliest armed tx, earliest phy
-  /// event + sifs, earliest scheduler event + difs) — without these notes
-  /// the first term would be unknown and the bound unsound.
-  void note_armed_tx(des::Time when) {
-    if (!sharded()) return;
-    armed_tx_heap_.push_back(when);
-    std::push_heap(armed_tx_heap_.begin(), armed_tx_heap_.end(),
-                   std::greater<>{});
-  }
-
-  /// Earliest pending armed-tx note at or after `now` (stale notes — timers
-  /// that fired or were cancelled — are discarded lazily), or +infinity.
-  [[nodiscard]] des::Time earliest_armed_tx(des::Time now) noexcept {
-    return heap_front(armed_tx_heap_, now);
-  }
-  /// Earliest pending channel-internal event (transmission walker due /
-  /// end-of-transmit) at or after `now`, or +infinity.
-  [[nodiscard]] des::Time earliest_phy_event(des::Time now) noexcept {
-    return heap_front(phy_event_heap_, now);
-  }
-
-  /// Frames transmitted locally this window that reach shard `dst`'s strip.
-  [[nodiscard]] std::vector<ShardHandoff>& outbox(std::uint32_t dst) noexcept {
-    return outboxes_[dst];
-  }
-  /// Drop all outbox entries (src shard, start of each window — the
-  /// destination shards have deep-cloned what they needed at the barrier).
-  void clear_outboxes() noexcept {
-    for (auto& box : outboxes_) box.clear();
-  }
-
-  /// Replay a remote shard's transmission on this shard: re-run the full
-  /// receiver walk over the complete position grid (same arrivals, powers,
-  /// and global order indices as the serial run) but deliver only to
-  /// receivers this shard owns. The handoff's packet payload is
-  /// deep-cloned here so the source shard's pool is never touched again.
-  /// Does NOT count toward stats().transmissions (the source shard did).
-  void inject_remote(const ShardHandoff& handoff);
-
-  /// True when any per-destination outbox holds a handoff (the sharded
-  /// engine's quiet-window test: nothing outbound means the exchange half
-  /// of the barrier round can be skipped).
-  [[nodiscard]] bool has_outbound() const noexcept {
-    for (const auto& box : outboxes_) {
-      if (!box.empty()) return true;
-    }
-    return false;
-  }
-  /// Total handoffs parked across all destination outboxes (profiler
-  /// fan-out accounting; outboxes are sealed between barriers, so reading
-  /// sizes during the exchange is race-free).
-  [[nodiscard]] std::uint64_t outbound_handoffs() const noexcept {
-    std::uint64_t n = 0;
-    for (const auto& box : outboxes_) n += box.size();
-    return n;
-  }
-
-  // --- Dynamic strip ownership (node migration) ---
-
-  /// Strip that owns position `p` — the EXACT arithmetic of
-  /// geom::ShardPartition::shard_of, mirrored here so crossing detection in
-  /// set_position agrees bitwise with the partition the engine built.
-  [[nodiscard]] std::uint32_t shard_of_position(geom::Vec2 p) const noexcept {
-    if (p.x <= 0.0) return 0;
-    const auto s = static_cast<std::uint32_t>(p.x / shard_.strip_width);
-    return s >= shard_.shards ? shard_.shards - 1 : s;
-  }
-
-  /// Re-home node `id` to shard `dst`. Called on EVERY shard for every
-  /// migration record, in the same global order, so all owner maps stay
-  /// identical (handoff routing reads owner[] for non-owned receivers).
-  void set_owner(std::uint32_t id, std::uint32_t dst) {
-    RRNET_EXPECTS(shard_.sharded() && id < shard_.owner.size());
-    shard_.owner[id] = dst;
-  }
-
-  /// Create the radio for a node this shard just adopted (owner map must
-  /// already say the node is local). State is restored separately via
-  /// Transceiver::import_snapshot.
-  void adopt_transceiver(std::uint32_t id);
-  /// Destroy the radio of a node this shard just evicted (frees to this
-  /// thread's pool — eviction always runs on the owning worker).
-  void evict_transceiver(std::uint32_t id);
-
-  /// True while any in-flight transmission still has a pending signal start
-  /// or end at receiver `id` — such a node cannot migrate (the walker would
-  /// touch a destroyed radio). O(active transmissions x receivers), only
-  /// called for boundary-crossing candidates at window barriers.
-  [[nodiscard]] bool has_pending_rx(std::uint32_t id) const noexcept {
-    for (const auto& tx : transmissions_) {
-      for (std::size_t i = tx->next_end; i < tx->receivers.size(); ++i) {
-        if (tx->receivers[i].rx_id == id) return true;
-      }
-    }
-    return false;
-  }
-
-  /// Per-sender frame-id counter transfer (migration: the adopting shard
-  /// must continue the evicted node's id sequence).
-  [[nodiscard]] std::uint32_t frame_counter(std::uint32_t id) const noexcept {
-    return frame_counters_[id];
-  }
-  void restore_frame_counter(std::uint32_t id, std::uint32_t value) noexcept {
-    frame_counters_[id] = value;
-  }
-
-  [[nodiscard]] bool has_migration_candidates() const noexcept {
-    return !migration_candidates_.empty();
-  }
-  /// Drain the deduped list of owned nodes whose last set_position landed
-  /// outside this shard's strip (appended to `out`; marks cleared so a
-  /// node that keeps moving re-registers next window).
-  void take_migration_candidates(std::vector<std::uint32_t>& out) {
-    for (const std::uint32_t id : migration_candidates_) {
-      migration_marked_[id] = 0;
-      out.push_back(id);
-    }
-    migration_candidates_.clear();
-  }
 
  private:
   struct PendingRx {
@@ -302,25 +114,12 @@ class Channel {
   void release_transmission(std::uint32_t slot);
 
   /// Thread-local pool of retired Transmission records (receiver-list
-  /// capacity retained). Channels are built and torn down once per run —
-  /// serially or one per shard worker — so without this every run re-grows
-  /// every receiver vector from scratch; with it, warm runs on the same
-  /// thread are allocation-free here.
+  /// capacity retained). Channels are built and torn down once per run, so
+  /// without this every run re-grows every receiver vector from scratch;
+  /// with it, warm runs on the same thread are allocation-free here.
   static std::vector<std::unique_ptr<Transmission>>& spare_transmissions();
   /// Thread-local grid-query scratch, same rationale.
   static std::vector<std::uint32_t>& query_scratch();
-
-  /// Shared body of transmit() and inject_remote(): build the receiver
-  /// walk for `frame` put on the air at `tx_time` for `duration`. In shard
-  /// mode, skips non-owned receivers (keeping their global order indices)
-  /// and, when `record_handoffs`, appends one ShardHandoff per remote
-  /// shard whose strip the signal reaches.
-  void start_transmission(const Airframe& frame, des::Time tx_time,
-                          des::Time duration, bool record_handoffs);
-
-  /// Pop heap entries at or before `now` (the closed window run_until(now)
-  /// already executed them), then return the front or +infinity.
-  static des::Time heap_front(std::vector<des::Time>& heap, des::Time now);
 
   des::Scheduler* scheduler_;
   std::unique_ptr<PropagationModel> model_;
@@ -332,18 +131,11 @@ class Channel {
   double interference_cutoff_mw_;
   double nominal_range_;
   double interference_range_;
-  /// Exactly one of owned_grid_/shared_grid_ is set; grid_ views it.
-  /// shared_grid_ is immutable (concurrent const queries from all shard
-  /// workers); owned_grid_ additionally serves set_position.
-  std::unique_ptr<geom::SpatialGrid> owned_grid_;
-  std::shared_ptr<const geom::SpatialGrid> shared_grid_;
-  const geom::SpatialGrid* grid_ = nullptr;
+  geom::SpatialGrid grid_;
   std::vector<std::unique_ptr<Transceiver>> transceivers_;
   des::Rng rng_;
-  /// Base key of the counter-based per-link streams (des::LinkRng). Taken
-  /// from rng_'s seed, which is fork-derived and therefore identical on
-  /// every shard of a run — the property that makes a replayed receiver
-  /// walk reproduce the serial draws exactly.
+  /// Base key of the counter-based per-link streams (des::LinkRng), taken
+  /// from rng_'s fork-derived seed.
   std::uint64_t link_seed_base_ = 0;
   /// Cached model_->stochastic(): per-receiver branch on the hot path.
   bool stochastic_ = false;
@@ -351,19 +143,6 @@ class Channel {
   std::vector<std::uint32_t> frame_counters_;  ///< per-sender frame-id counters
   std::vector<std::unique_ptr<Transmission>> transmissions_;
   std::vector<std::uint32_t> free_transmissions_;
-  ShardSpec shard_;
-  /// outboxes_[dst]: handoffs for shard dst accumulated this window.
-  std::vector<std::vector<ShardHandoff>> outboxes_;
-  /// Min-heaps of lookahead-relevant future times (see note_armed_tx).
-  std::vector<des::Time> armed_tx_heap_;
-  std::vector<des::Time> phy_event_heap_;
-  /// Scratch: shards already handed the current transmission (reset by id).
-  std::vector<std::uint32_t> handoff_mark_;
-  std::uint32_t handoff_epoch_ = 0;
-  /// Owned nodes whose position left this strip (deduped via the mark
-  /// array); drained by the sharded engine at window barriers.
-  std::vector<std::uint32_t> migration_candidates_;
-  std::vector<std::uint8_t> migration_marked_;
 };
 
 }  // namespace rrnet::phy

@@ -37,12 +37,10 @@ void FailureModel::start() {
     NodeState& st = states_[node];
     st.managed = true;
     st.last_change = scheduler_->now();
-    // Stationary initial state. The draw happens on every shard of a
-    // sharded run (the whole model is replicated so the exponential stream
-    // stays in serial order); only the owner touches the radio.
+    // Stationary initial state.
     if (rng_.bernoulli(config_.off_fraction)) {
       st.off = true;
-      if (channel_->owns(node)) channel_->transceiver(node).turn_off();
+      channel_->transceiver(node).turn_off();
     }
     schedule_toggle(node);
   }
@@ -55,15 +53,12 @@ void FailureModel::schedule_toggle(std::uint32_t node) {
   scheduler_->schedule_in(dwell, [this, node]() {
     NodeState& s = states_[node];
     const des::Time now = scheduler_->now();
-    // Ownership is checked at toggle time, not schedule time: a node that
-    // migrated since the last toggle is flipped by its new owner (whose
-    // replicated state machine agrees on s.off) and skipped by the old.
     if (s.off) {
       s.off_accum += now - s.last_change;
-      if (channel_->owns(node)) channel_->transceiver(node).turn_on();
+      channel_->transceiver(node).turn_on();
       s.off = false;
     } else {
-      if (channel_->owns(node)) channel_->transceiver(node).turn_off();
+      channel_->transceiver(node).turn_off();
       s.off = true;
     }
     s.last_change = now;

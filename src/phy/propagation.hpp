@@ -46,7 +46,7 @@ class PropagationModel {
   /// True for models whose rx-power draws consume RNG state (fading,
   /// shadowing). The channel routes such draws through counter-based
   /// per-link streams (des::LinkRng) instead of its sequential stream, so
-  /// a sharded replay of the receiver walk reproduces them exactly.
+  /// each draw depends only on (link, frame), never on draw history.
   [[nodiscard]] virtual bool stochastic() const noexcept { return false; }
 };
 

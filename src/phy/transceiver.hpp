@@ -40,17 +40,6 @@ struct TransceiverStats {
 
 class Channel;
 
-/// Everything of a radio that must survive a cross-shard node migration.
-/// The energy meter is copied VERBATIM — no account() at the boundary:
-/// splitting one dwell interval into two accumulations is not bitwise equal
-/// to accounting it once, and the sharded bit-identity gates compare joules
-/// exactly.
-struct TransceiverSnapshot {
-  TransceiverStats stats;
-  bool off = false;
-  std::optional<EnergyMeter> meter;
-};
-
 class Transceiver : public util::PoolAllocated {
  public:
   Transceiver(std::uint32_t node_id, const RadioParams& params)
@@ -107,28 +96,6 @@ class Transceiver : public util::PoolAllocated {
   /// Account the dwell time of the current state up to now (call before
   /// reading the meter at the end of a run).
   void finalize_energy();
-
-  // --- Node migration (sharded dynamic ownership) ---
-
-  /// True when nothing references this radio from the event horizon: no
-  /// signal on the air at it, no decode lock, not mid-transmission. Off
-  /// counts as quiescent — the failure schedule is replicated on every
-  /// shard, so the adopting shard continues the off/on cycle.
-  [[nodiscard]] bool quiescent() const noexcept {
-    return (state_ == RadioState::Idle || state_ == RadioState::Off) &&
-           signals_.empty() && !has_lock_;
-  }
-  [[nodiscard]] TransceiverSnapshot export_snapshot() const {
-    return {stats_, state_ == RadioState::Off, meter_};
-  }
-  /// Restore an evicted radio's state onto a freshly adopted one. Only
-  /// valid for quiescent snapshots: raw field assignment, deliberately NOT
-  /// set_state() (the meter carries its own last-accounted instant).
-  void import_snapshot(const TransceiverSnapshot& snap) {
-    stats_ = snap.stats;
-    state_ = snap.off ? RadioState::Off : RadioState::Idle;
-    meter_ = snap.meter;
-  }
 
  private:
   friend class Channel;

@@ -59,9 +59,6 @@ class RouteTableExtension final : public net::PacketExtension {
   static constexpr net::ExtensionKind kKind = net::ExtensionKind::RouteTable;
   explicit RouteTableExtension(std::vector<DsdvEntry> entries_in)
       : net::PacketExtension(kKind), entries(std::move(entries_in)) {}
-  [[nodiscard]] net::ExtensionRef clone() const override {
-    return net::make_extension<RouteTableExtension>(entries);
-  }
   const std::vector<DsdvEntry> entries;
 };
 

@@ -62,9 +62,6 @@ class SourceRouteExtension final : public net::PacketExtension {
   static constexpr net::ExtensionKind kKind = net::ExtensionKind::SourceRoute;
   explicit SourceRouteExtension(SourceRoute route_in)
       : net::PacketExtension(kKind), route(std::move(route_in)) {}
-  [[nodiscard]] net::ExtensionRef clone() const override {
-    return net::make_extension<SourceRouteExtension>(route);
-  }
   const SourceRoute route;
 };
 

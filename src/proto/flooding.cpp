@@ -94,9 +94,7 @@ void FloodingProtocol::on_packet(const net::PacketRef& packet,
     const des::Time delay = rng_.uniform(0.0, config_.lambda);
     // The ref shares the buffer: scheduling a relay copies 24 bytes, never
     // the packet.
-    ++pending_relays_;
     node().scheduler().schedule_in(delay, [this, copy = packet, delay]() {
-      --pending_relays_;
       relay(copy, delay);
     });
     return;
@@ -125,30 +123,6 @@ void FloodingProtocol::on_packet(const net::PacketRef& packet,
 void FloodingProtocol::snapshot_metrics(obs::MetricRegistry& reg) const {
   core::snapshot_metrics(elections_.stats(), reg);
   net::snapshot_metrics(seen_, reg);
-}
-
-std::unique_ptr<net::MigrationBlob> FloodingProtocol::export_state() const {
-  auto blob = std::make_unique<FloodingMigrationState>();
-  blob->stats = stats_;
-  blob->election_stats = elections_.stats();
-  blob->seen_stats = seen_.stats();
-  blob->seen = seen_.export_entries();
-  blob->copy_seen.assign(copy_seen_.begin(), copy_seen_.end());
-  blob->next_sequence = next_sequence_;
-  blob->rng = rng_.state();
-  return blob;
-}
-
-void FloodingProtocol::import_state(const net::MigrationBlob& blob) {
-  // The engine only ever pairs export/import of the same protocol type
-  // (every shard attaches protocols from the same ScenarioConfig).
-  const auto& s = static_cast<const FloodingMigrationState&>(blob);
-  stats_ = s.stats;
-  elections_.restore_stats(s.election_stats);
-  seen_.restore(s.seen, s.seen_stats);
-  for (const std::uint64_t key : s.copy_seen) copy_seen_.insert(key);
-  next_sequence_ = s.next_sequence;
-  rng_.restore(s.rng);
 }
 
 }  // namespace rrnet::proto

@@ -43,19 +43,6 @@ struct FloodingStats {
   std::uint64_t delivered = 0;
 };
 
-/// Migration snapshot of a quiescent flooding instance: counters, stream
-/// position, and the duplicate-suppression memory. No pooled refs — the
-/// blob crosses threads on the global allocator.
-struct FloodingMigrationState final : net::MigrationBlob {
-  FloodingStats stats;
-  core::ElectionStats election_stats;
-  net::DuplicateCacheStats seen_stats;
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> seen;  ///< LRU -> MRU
-  std::vector<std::uint64_t> copy_seen;
-  std::uint32_t next_sequence = 0;
-  des::RngState rng;
-};
-
 class FloodingProtocol : public net::Protocol {
  public:
   /// `policy` decides the rebroadcast backoff; counter-1 passes
@@ -70,18 +57,6 @@ class FloodingProtocol : public net::Protocol {
                           std::uint32_t payload_bytes) override;
   const char* name() const noexcept override { return "flooding"; }
   void snapshot_metrics(obs::MetricRegistry& reg) const override;
-
-  // Migration: the whole flooding family (blind / counter-1 / SSAF) opts
-  // in. Pending work is either an armed election session or a scheduled
-  // blind-relay lambda; quiescence means neither exists, so only counters
-  // and caches need to travel.
-  [[nodiscard]] bool migratable() const noexcept override { return true; }
-  [[nodiscard]] bool quiescent() const noexcept override {
-    return elections_.active_count() == 0 && pending_relays_ == 0;
-  }
-  [[nodiscard]] std::unique_ptr<net::MigrationBlob> export_state()
-      const override;
-  void import_state(const net::MigrationBlob& blob) override;
 
   [[nodiscard]] const FloodingStats& flood_stats() const noexcept {
     return stats_;
@@ -108,9 +83,6 @@ class FloodingProtocol : public net::Protocol {
   std::uint32_t next_sequence_ = 0;
   double rssi_min_dbm_ = -64.0;
   double rssi_max_dbm_ = 0.0;
-  /// Scheduled blind-relay lambdas in flight (they capture `this`); a node
-  /// with any outstanding cannot migrate.
-  std::uint32_t pending_relays_ = 0;
   FloodingStats stats_;
 };
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "geom/placement.hpp"
-#include "obs/profiler.hpp"
+#include "obs/health.hpp"
 #include "sim/topology.hpp"
 #include "proto/flooding.hpp"
 #include "util/contracts.hpp"

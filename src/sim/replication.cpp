@@ -1,6 +1,9 @@
 #include "sim/replication.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <exception>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,43 +16,51 @@ namespace rrnet::sim {
 Aggregated run_replications(const ScenarioConfig& base,
                             std::size_t replications, std::size_t threads) {
   RRNET_EXPECTS(replications > 0);
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  // Workers each replication spawns internally when the sharded engine is
-  // active. The replication pool and the per-replication shard pools share
-  // one combined budget: outer × inner ≤ the requested thread count, never
-  // the product. `inner` is clamped to the request too (a caller asking for
-  // 2 threads on an 8-shard scenario gets 1 outer × 2 inner, not 1 × 8),
-  // and is propagated into each replication's shard_threads so
-  // run_scenario_sharded cannot re-derive a larger pool from
-  // hardware_concurrency on its own.
-  if (threads == 0) threads = hw;
-  std::size_t inner = 1;
-  if (base.shards > 1) {
-    const std::size_t per_rep =
-        base.shard_threads > 0 ? base.shard_threads : hw;
-    inner = std::max<std::size_t>(
-        1, std::min({per_rep, static_cast<std::size_t>(base.shards), threads}));
+  if (threads == 0) {
+    threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  threads = std::max<std::size_t>(1, threads / inner);
   threads = std::min(threads, replications);
-  const auto shard_threads = static_cast<std::uint32_t>(inner);
 
   std::vector<ScenarioResult> results(replications);
+  // failures[i] holds replication i's exception. The first failure stops
+  // the hand-out of new indices; replications already claimed run to the
+  // end, so every index below a failed one has run too.
+  std::vector<std::exception_ptr> failures(replications);
   std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
   auto worker = [&]() {
-    for (;;) {
+    while (!failed.load(std::memory_order_relaxed)) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= replications) return;
       ScenarioConfig config = base;
       config.seed = des::derive_stream_seed(base.seed, i);
-      if (config.shards > 1) config.shard_threads = shard_threads;
-      results[i] = run_scenario(config);
+      try {
+        results[i] = run_scenario(config);
+      } catch (...) {
+        failures[i] = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+      }
     }
   };
   std::vector<std::thread> pool;
   pool.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
   for (auto& t : pool) t.join();
+
+  // Indices are claimed in order, so the lowest failed index is the same
+  // at any thread count: rethrow that one.
+  for (std::size_t i = 0; i < replications; ++i) {
+    if (!failures[i]) continue;
+    try {
+      std::rethrow_exception(failures[i]);
+    } catch (const ContractViolation& e) {
+      throw ContractViolation(
+          "replication " + std::to_string(i) + " (base seed " +
+          std::to_string(base.seed) + ", derived seed " +
+          std::to_string(des::derive_stream_seed(base.seed, i)) +
+          "): " + e.what());
+    }
+  }
 
   Aggregated agg;
   agg.replications = replications;

@@ -31,6 +31,12 @@ struct Aggregated {
 /// Run `replications` independent copies of `base` (per-replication seeds
 /// hash-derived from (base.seed, i)) on up to `threads` worker threads
 /// (0 = hardware concurrency).
+///
+/// A replication that throws stops the hand-out of further replications;
+/// after every worker has joined, the failure with the lowest replication
+/// index is rethrown here. A ContractViolation comes back as a
+/// ContractViolation whose what() names the replication index, the base
+/// seed and the derived seed; any other exception is rethrown unchanged.
 [[nodiscard]] Aggregated run_replications(const ScenarioConfig& base,
                                           std::size_t replications,
                                           std::size_t threads = 0);

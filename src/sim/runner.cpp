@@ -1,11 +1,8 @@
 #include "sim/runner.hpp"
 
-#include "sim/sharded.hpp"
-
 namespace rrnet::sim {
 
 ScenarioResult run_scenario(const ScenarioConfig& config) {
-  if (config.shards > 1) return run_scenario_sharded(config);
   SimInstance sim(config);
   sim.run();
   return sim.result();

@@ -55,32 +55,6 @@ struct ScenarioConfig {
   /// same scenario on each and compare metric snapshots.
   des::QueueBackend scheduler_queue = des::default_queue_backend();
 
-  /// Spatial shards: 1 (default) runs the untouched serial engine; K > 1
-  /// partitions the terrain into K vertical strips, each with its own
-  /// scheduler/channel/nodes, synchronized by conservative time windows
-  /// (see DESIGN.md "Parallel execution"). Semantic per-layer counters and
-  /// every figure metric are bit-identical for any K; engine-internal
-  /// counters (des.*, pool.*, sim.*) differ. Every scenario shape runs
-  /// sharded — mobility (replicated position updates + node migration),
-  /// failures (replicated schedules, ownership-gated toggles), stochastic
-  /// fading (counter-based per-link rng), and energy tracking (meters travel
-  /// with migrating nodes) included. Only trace_paths remains serial-only.
-  std::uint32_t shards = 1;
-  /// Worker threads driving the shards; 0 = min(hardware_concurrency,
-  /// shards). Clamped to `shards` — each worker owns a contiguous block.
-  std::uint32_t shard_threads = 0;
-  /// Barrier amortization: max consecutive quiet windows (no shard has
-  /// outbound handoffs or migration work) that may skip the exchange half
-  /// of the barrier round before one is forced. 1 exchanges every window;
-  /// larger values halve the barrier crossings of quiet stretches. 0
-  /// (default) enables the adaptive controller: the allowance doubles
-  /// (capped at 64) after every forced exchange that found all shards
-  /// quiet and snaps back to 1 on a busy window, so idle stretches widen
-  /// automatically while bursts stay tightly synchronized. Results are
-  /// bit-identical for ANY value — a skipped exchange is provably a no-op —
-  /// so this is purely a performance knob.
-  std::uint32_t shard_window_batch = 0;
-
   // Topology.
   std::size_t nodes = 100;
   double width_m = 1000.0;
@@ -147,19 +121,10 @@ struct ScenarioConfig {
   bool trace_events = false;
   std::size_t trace_capacity = 1u << 20;  ///< ring size, in records
 
-  /// Attribute wall clock per shard worker across the three phases of each
-  /// window round (execute / barrier-wait / exchange+migration), plus
-  /// window-width / bound-source / handoff-fanout / batch-width telemetry,
-  /// surfaced as shard.* / runtime.* registry entries and — in RRNET_TRACE
-  /// builds with trace_events on — WindowSpan/BarrierWait worker lanes in
-  /// the Chrome trace. Stamps are taken only at round boundaries, never
-  /// per event, so enabling this cannot perturb bit-identity. Serial runs
-  /// (shards == 1) have no rounds to attribute and ignore it.
-  bool profile_runtime = false;
   /// Optional run-health monitor (non-owning; see obs::RunHealthMonitor):
-  /// sampled at window barriers (sharded) or every ~262k events (serial)
-  /// for throughput/RSS progress, wall-clock + RSS budget enforcement with
-  /// graceful partial-result abort, and structured report.json output.
+  /// sampled every ~262k events for throughput/RSS progress, wall-clock +
+  /// RSS budget enforcement with graceful partial-result abort, and
+  /// structured report.json output.
   obs::RunHealthMonitor* health_monitor = nullptr;
 
   // Mobility (random waypoint; traffic endpoints are pinned).

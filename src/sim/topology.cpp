@@ -6,23 +6,14 @@
 
 namespace rrnet::sim {
 
-namespace {
-std::vector<geom::Vec2> channel_positions(const phy::Channel& channel) {
+Topology::Topology(const phy::Channel& channel)
+    : adjacency_(channel.node_count()) {
+  const double range_sq = channel.nominal_range_m() * channel.nominal_range_m();
   std::vector<geom::Vec2> positions;
   positions.reserve(channel.node_count());
   for (std::uint32_t i = 0; i < channel.node_count(); ++i) {
     positions.push_back(channel.position(i));
   }
-  return positions;
-}
-}  // namespace
-
-Topology::Topology(const phy::Channel& channel)
-    : Topology(channel_positions(channel), channel.nominal_range_m()) {}
-
-Topology::Topology(const std::vector<geom::Vec2>& positions, double range_m)
-    : adjacency_(positions.size()) {
-  const double range_sq = range_m * range_m;
   const auto n = static_cast<std::uint32_t>(positions.size());
   for (std::uint32_t i = 0; i < n; ++i) {
     for (std::uint32_t j = i + 1; j < n; ++j) {

@@ -17,12 +17,6 @@ class Topology {
   /// at distance <= channel.nominal_range_m().
   explicit Topology(const phy::Channel& channel);
 
-  /// Same graph from raw positions and an explicit range — for callers that
-  /// need connectivity before any channel exists (the sharded engine's
-  /// coordinator draws communicating pairs up front, then builds one
-  /// channel per shard).
-  Topology(const std::vector<geom::Vec2>& positions, double range_m);
-
   [[nodiscard]] std::size_t node_count() const noexcept {
     return adjacency_.size();
   }

@@ -15,9 +15,9 @@ using rrnet::testing::TestNet;
 
 TEST(FlowStats, DeliveryRatioAndDelay) {
   FlowStats stats;
-  stats.record_sent(1, 0.0);
-  stats.record_sent(2, 0.0);
-  stats.record_sent(3, 0.0);
+  stats.record_sent(1);
+  stats.record_sent(2);
+  stats.record_sent(3);
   net::PacketInit init;
   init.uid = 1;
   init.created_at = 0.0;
@@ -32,7 +32,7 @@ TEST(FlowStats, DeliveryRatioAndDelay) {
 
 TEST(FlowStats, DuplicateDeliveryCountedOnce) {
   FlowStats stats;
-  stats.record_sent(7, 0.0);
+  stats.record_sent(7);
   net::PacketInit init;
   init.uid = 7;
   const net::PacketRef p = net::make_packet(std::move(init));
@@ -61,7 +61,7 @@ TEST(FlowStats, OutstandingBoundedUnderSustainedLoss) {
   FlowStats stats(/*uid_window=*/64);
   EXPECT_EQ(stats.uid_window(), 64u);
   for (std::uint64_t uid = 1; uid <= 1000; ++uid) {
-    stats.record_sent(uid, static_cast<double>(uid) * 0.01);
+    stats.record_sent(uid);
   }
   EXPECT_EQ(stats.sent(), 1000u);
   EXPECT_LE(stats.outstanding_size(), 64u);
@@ -71,7 +71,7 @@ TEST(FlowStats, OutstandingBoundedUnderSustainedLoss) {
 
 TEST(FlowStats, EvictedUidDeliveryIgnoredRecentUidCounted) {
   FlowStats stats(/*uid_window=*/64);
-  for (std::uint64_t uid = 1; uid <= 1000; ++uid) stats.record_sent(uid, 0.0);
+  for (std::uint64_t uid = 1; uid <= 1000; ++uid) stats.record_sent(uid);
   // uid 1 aged out of the window: its ultra-late delivery is ignored, same
   // as the old code's unknown-uid judgement call.
   net::PacketInit evicted;
@@ -90,7 +90,7 @@ TEST(FlowStats, EvictedUidDeliveryIgnoredRecentUidCounted) {
 TEST(FlowStats, SeenUidWindowBoundedToo) {
   FlowStats stats(/*uid_window=*/32);
   for (std::uint64_t uid = 1; uid <= 200; ++uid) {
-    stats.record_sent(uid, 0.0);
+    stats.record_sent(uid);
     net::PacketInit init;
     init.uid = uid;
     stats.record_delivered(net::make_packet(std::move(init)), 0.1);

@@ -5,7 +5,6 @@
 
 #include "des/rng.hpp"
 #include "geom/placement.hpp"
-#include "geom/shard_partition.hpp"
 #include "geom/spatial_grid.hpp"
 #include "geom/terrain.hpp"
 #include "geom/vec2.hpp"
@@ -252,7 +251,7 @@ TEST(SpatialGrid, DifferentialFuzzAgainstBruteForce) {
         EXPECT_EQ(got, expected) << "seed=" << seed << " op=" << op;
         if (got != expected) return;  // one detailed failure is enough
       } else {
-        // Explicit epoch boundary, as the sharded window barrier does.
+        // Explicit epoch boundary.
         grid.compact();
         EXPECT_EQ(grid.pending_updates(), 0u);
       }
@@ -262,91 +261,6 @@ TEST(SpatialGrid, DifferentialFuzzAgainstBruteForce) {
     }
     // The op mix must actually have exercised epoch transitions.
     EXPECT_GT(compactions_seen, 5u) << "seed=" << seed;
-  }
-}
-
-TEST(ShardPartition, EdgeAndBoundaryOwnership) {
-  const Terrain terrain(1000.0, 600.0);
-  const ShardPartition part(terrain, 4);
-  EXPECT_DOUBLE_EQ(part.strip_width(), 250.0);
-  // Left edge and stray FP below it.
-  EXPECT_EQ(part.shard_of({0.0, 10.0}), 0u);
-  EXPECT_EQ(part.shard_of({-0.5, 10.0}), 0u);
-  // Interior boundary belongs to the right-hand strip (floor semantics).
-  EXPECT_EQ(part.shard_of({250.0, 10.0}), 1u);
-  EXPECT_EQ(part.shard_of({249.999, 10.0}), 0u);
-  EXPECT_EQ(part.shard_of({500.0, 10.0}), 2u);
-  // Right terrain edge and beyond clamp into the last strip.
-  EXPECT_EQ(part.shard_of({1000.0, 10.0}), 3u);
-  EXPECT_EQ(part.shard_of({1000.1, 10.0}), 3u);
-  // Strip ranges tile the terrain.
-  EXPECT_DOUBLE_EQ(part.strip_begin(0), 0.0);
-  EXPECT_DOUBLE_EQ(part.strip_end(3), 1000.0);
-  for (std::uint32_t s = 0; s + 1 < part.shards(); ++s) {
-    EXPECT_DOUBLE_EQ(part.strip_end(s), part.strip_begin(s + 1));
-  }
-}
-
-TEST(ShardPartition, OwnerMapIsPureAndCoversEveryNode) {
-  const Terrain terrain(1500.0, 500.0);
-  des::Rng rng(77);
-  const std::vector<Vec2> pts = place_uniform(terrain, 200, rng);
-  const ShardPartition part(terrain, 5);
-  const std::vector<std::uint32_t> owner = shard_owner_map(part, pts);
-  ASSERT_EQ(owner.size(), pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_LT(owner[i], part.shards());
-    EXPECT_GE(pts[i].x, part.strip_begin(owner[i]));
-    EXPECT_LE(pts[i].x, part.strip_end(owner[i]));
-  }
-  // Pure: an independently constructed partition derives the same map.
-  const ShardPartition again(terrain, 5);
-  EXPECT_EQ(shard_owner_map(again, pts), owner);
-}
-
-TEST(ShardPartition, MoreShardsThanNodesLeavesEmptyStrips) {
-  const Terrain terrain(800.0, 800.0);
-  const std::vector<Vec2> pts{{10.0, 10.0}, {15.0, 20.0}, {790.0, 10.0}};
-  const ShardPartition part(terrain, 8);
-  const std::vector<std::uint32_t> owner = shard_owner_map(part, pts);
-  EXPECT_EQ(owner, (std::vector<std::uint32_t>{0, 0, 7}));
-  // Shards 1..6 own nothing — a legal configuration the engine must accept.
-}
-
-// A full-grid query from a node near a strip boundary must return the same
-// id-ordered receiver set no matter how the terrain is sharded: every shard
-// indexes ALL positions, and ownership only decides which results are acted
-// on locally. This is the query-order half of the handoff determinism
-// contract (global order indices break ties identically on every shard).
-TEST(ShardPartition, BoundaryStraddlingQueryIsShardCountInvariant) {
-  const Terrain terrain(1200.0, 400.0);
-  des::Rng rng(99);
-  const std::vector<Vec2> pts = place_uniform(terrain, 150, rng);
-  const double interference_range = 300.0;  // wider than a 4-shard strip
-  const SpatialGrid grid(terrain, interference_range, pts);
-
-  std::vector<std::uint32_t> reference;
-  grid.query(pts[0], interference_range, reference);
-
-  for (const std::uint32_t shards : {2u, 3u, 4u, 8u}) {
-    const ShardPartition part(terrain, shards);
-    EXPECT_LE(part.strip_width(), 2.0 * interference_range)
-        << "case must actually straddle strips";
-    // Same grid, same query — partitioning never filters the query itself.
-    std::vector<std::uint32_t> got;
-    grid.query(pts[0], interference_range, got);
-    EXPECT_EQ(got, reference) << "shards=" << shards;
-    // The straddling receiver set spans more than one owner for at least
-    // one shard count, i.e. cross-shard handoffs genuinely occur.
-    std::vector<std::uint32_t> owners;
-    for (const std::uint32_t id : got) {
-      owners.push_back(part.shard_of(pts[id]));
-    }
-    std::sort(owners.begin(), owners.end());
-    owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
-    if (shards >= 4) {
-      EXPECT_GE(owners.size(), 2u) << "shards=" << shards;
-    }
   }
 }
 

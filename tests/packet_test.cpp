@@ -145,9 +145,6 @@ class TestRouteExtension final : public PacketExtension {
   static constexpr ExtensionKind kKind = ExtensionKind::SourceRoute;
   explicit TestRouteExtension(std::vector<std::uint32_t> hops_in)
       : PacketExtension(kKind), hops(std::move(hops_in)) {}
-  [[nodiscard]] ExtensionRef clone() const override {
-    return make_extension<TestRouteExtension>(hops);
-  }
   const std::vector<std::uint32_t> hops;
 };
 
@@ -155,9 +152,6 @@ class TestTableExtension final : public PacketExtension {
  public:
   static constexpr ExtensionKind kKind = ExtensionKind::RouteTable;
   TestTableExtension() : PacketExtension(kKind) {}
-  [[nodiscard]] ExtensionRef clone() const override {
-    return make_extension<TestTableExtension>();
-  }
 };
 
 TEST(PacketBuffer, TypedExtensionAccess) {

@@ -235,11 +235,10 @@ TEST(DeriveStreamSeed, DeterministicAndIndexSensitive) {
   EXPECT_NE(derive_stream_seed(42, 7), derive_stream_seed(43, 7));
 }
 
-// --- Counter-based per-link streams (shard-replayable fading draws) ---
+// --- Counter-based per-link streams (stochastic fading draws) ---
 
 TEST(LinkRng, SameKeySameDrawAnywhere) {
-  // The property the sharded engine rests on: any shard (any thread, any
-  // shard count) that constructs the stream for (base, tx, rx, draw) gets
+  // Whoever constructs the stream for (base, tx, rx, draw), whenever, gets
   // the exact same values — the draw is a pure function of its key.
   constexpr std::uint64_t kBase = 0x9E3779B97F4A7C15ULL;
   for (std::uint32_t tx = 0; tx < 4; ++tx) {
@@ -257,9 +256,9 @@ TEST(LinkRng, SameKeySameDrawAnywhere) {
 }
 
 TEST(LinkRng, ReplayIndependentOfEvaluationOrder) {
-  // A serial run evaluates links in one global order; a sharded run splits
-  // the same links across shards in another. Interleaving must not matter:
-  // draw the same keys in forward and reverse order and compare.
+  // The channel evaluates links in whatever order transmissions happen.
+  // Interleaving must not matter: draw the same keys in forward and
+  // reverse order and compare.
   constexpr std::uint64_t kBase = 77;
   struct Key {
     std::uint32_t tx, rx;

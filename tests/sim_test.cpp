@@ -1,11 +1,14 @@
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "sim/replication.hpp"
 #include "sim/runner.hpp"
 #include "sim/sweep.hpp"
+#include "util/contracts.hpp"
 
 namespace rrnet::sim {
 namespace {
@@ -169,6 +172,67 @@ TEST(Replication, SummariesCoverAllReplications) {
   EXPECT_EQ(agg.delivery_ratio.count, 3u);
   EXPECT_EQ(agg.mac_packets.count, 3u);
   EXPECT_GT(agg.mac_packets.mean, 0.0);
+}
+
+TEST(Replication, WorkerFailureIsRethrownOnCaller) {
+  // A one-node scenario violates SimInstance's precondition in every
+  // replication. The failure must reach the caller as a catchable
+  // ContractViolation naming the lowest failed replication and its seeds,
+  // not escape a worker thread into std::terminate.
+  ScenarioConfig config = small_scenario(ProtocolKind::Ssaf);
+  config.nodes = 1;
+  config.seed = 77;
+  std::string message;
+  EXPECT_THROW(
+      {
+        try {
+          (void)run_replications(config, 4, /*threads=*/4);
+        } catch (const ContractViolation& e) {
+          message = e.what();
+          throw;
+        }
+      },
+      ContractViolation);
+  EXPECT_NE(message.find("replication 0 "), std::string::npos) << message;
+  EXPECT_NE(message.find("base seed 77"), std::string::npos) << message;
+  EXPECT_NE(message.find("derived seed " +
+                         std::to_string(des::derive_stream_seed(77, 0))),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("nodes >= 2"), std::string::npos) << message;
+}
+
+TEST(SerialFadingRng, DeterministicPerSeedAfterLinkRngSwitch) {
+  // Stochastic fading draws come from counter-based per-link streams
+  // (des::LinkRng). This pins the scheme down: per-seed reproducibility
+  // and seed sensitivity.
+  ScenarioConfig config;
+  config.seed = 5150;
+  config.nodes = 110;
+  config.width_m = 1300.0;
+  config.height_m = 900.0;
+  config.range_m = 250.0;
+  config.propagation = PropagationKind::Rayleigh;
+  config.protocol = ProtocolKind::Counter1Flooding;
+  config.pairs = 2;
+  config.cbr_interval = 0.5;
+  config.payload_bytes = 256;
+  config.traffic_start = 1.0;
+  config.traffic_stop = 5.0;
+  config.sim_end = 7.0;
+  const ScenarioResult a = run_scenario(config);
+  const ScenarioResult b = run_scenario(config);
+  EXPECT_EQ(a.sent, b.sent);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.mean_delay_s, b.mean_delay_s);
+  EXPECT_EQ(a.mac_packets, b.mac_packets);
+  EXPECT_EQ(a.channel_transmissions, b.channel_transmissions);
+
+  ScenarioConfig other = config;
+  other.seed = 5151;
+  const ScenarioResult c = run_scenario(other);
+  EXPECT_NE(std::tie(a.delivered, a.mean_delay_s, a.mac_packets),
+            std::tie(c.delivered, c.mean_delay_s, c.mac_packets));
 }
 
 TEST(Sweep, BuildsLabeledTable) {
