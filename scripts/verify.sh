@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: plain build + tests, then the same suite under
-# ASan/UBSan (second build dir, registered as the "sanitize" configuration),
-# a JSON export smoke, and the threaded tests under TSan (third build dir).
+# Tier-1 verification: plain build + tests, the perfbench seed-1 pins, then
+# the same suite under ASan/UBSan (second build dir, registered as the
+# "sanitize" configuration), a JSON export smoke, and the threaded tests
+# under TSan (third build dir).
 #
 # Usage: scripts/verify.sh [--with-bench] [--large-n-smoke]
 #   --with-bench     additionally run the engine benchmark suite and refresh
@@ -41,6 +42,22 @@ echo "== plain build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== perfbench pins (seed 1, traced) =="
+# Bit-identity on the benchmark workloads: run.py checks every simulation
+# and compares seed 1's first input with perfbench/pinned.json; its last
+# stdout line must report "correct": true and "failed": 0.
+for workload in flood_n100k rr_fig4 sweep_fig4; do
+  if ! line="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+                 --seconds 1 --trace 1 | tail -n 1)"; then
+    echo "perfbench $workload did not run" >&2; exit 1
+  fi
+  python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
+    "$line" || { echo "perfbench $workload: $line" >&2; exit 1; }
+  echo "perfbench $workload: pins hold, 0 failed"
+done
 
 echo "== bench regression gate =="
 # The gate only means something against a tracing-free binary: the checked-in

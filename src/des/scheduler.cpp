@@ -1,7 +1,9 @@
 #include "des/scheduler.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -102,9 +104,10 @@ bool Scheduler::step() {
   --live_;
   ++executed_;
 #ifdef RRNET_TRACE
-  // Handler spans: simulated timestamp + wall-clock cost of one callback.
-  // Only measured while a tracer is installed and enabled, so the
-  // steady-state cost of a traced build without capture is one TLS load.
+  // Handler spans: simulated timestamp + wall-clock cost of one callback,
+  // which covers every event the callback ran by inline hand-off. Only
+  // measured while a tracer is installed and enabled, so the steady-state
+  // cost of a traced build without capture is one TLS load.
   if (obs::EventTracer* tracer = obs::thread_tracer();
       tracer != nullptr && tracer->enabled()) {
     const auto wall0 = std::chrono::steady_clock::now();
@@ -112,7 +115,7 @@ bool Scheduler::step() {
     const auto wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                              std::chrono::steady_clock::now() - wall0)
                              .count();
-    tracer->record(obs::EventKind::HandlerSpan, now_, obs::kNoTraceNode,
+    tracer->record(obs::EventKind::HandlerSpan, top.time, obs::kNoTraceNode,
                    static_cast<std::uint64_t>(wall_ns));
     return true;
   }
@@ -122,12 +125,16 @@ bool Scheduler::step() {
 }
 
 void Scheduler::run() {
+  const Driving driving(*this, std::numeric_limits<Time>::infinity(),
+                        std::numeric_limits<std::uint64_t>::max());
   while (step()) {
   }
 }
 
 void Scheduler::run_until(Time t_end) {
   RRNET_EXPECTS(t_end >= now_);
+  const Driving driving(*this, t_end,
+                        std::numeric_limits<std::uint64_t>::max());
   while (settle_top() && queue_top().time <= t_end) {
     step();
   }
@@ -136,11 +143,15 @@ void Scheduler::run_until(Time t_end) {
 
 bool Scheduler::run_until(Time t_end, std::uint64_t max_events) {
   RRNET_EXPECTS(t_end >= now_);
-  std::uint64_t executed = 0;
+  // The budget counts executed events, hand-offs included: a handler may
+  // run many events inline, and the hand-off is refused once it is spent.
+  const std::uint64_t headroom =
+      std::numeric_limits<std::uint64_t>::max() - executed_;
+  const std::uint64_t budget_end = executed_ + std::min(max_events, headroom);
+  const Driving driving(*this, t_end, budget_end);
   while (settle_top() && queue_top().time <= t_end) {
-    if (executed == max_events) return false;
+    if (executed_ >= budget_end) return false;
     step();
-    ++executed;
   }
   now_ = t_end;
   return true;

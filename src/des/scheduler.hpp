@@ -23,9 +23,19 @@
 // Callbacks are des::InlineCallback, not std::function: captures live inside
 // the pooled slot (zero heap allocations per event in steady state) and a
 // capture larger than the inline budget is a compile-time error.
+//
+// Inline hand-off: a handler about to re-arm itself at `t` may instead call
+// run_next_inline(t) and, on true, carry on as that next event without a
+// queue round trip. It is granted only while run()/run_until() drives and
+// only when the event would have been the very next one popped, so the
+// executed sequence (and executed_count()) is the same either way. Its
+// counters (inline_count(), heap_high_water()) are taken before the run
+// loop decides, so they too are the same whether the run is driven by one
+// run(), by run_until() slices or by bare step() calls.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -110,22 +120,58 @@ class Scheduler {
   /// Run events with time <= t_end, then advance the clock to t_end.
   void run_until(Time t_end);
   /// Bounded slice of run_until: execute at most `max_events` events with
-  /// time <= t_end. Advances the clock to t_end (and returns true) only
-  /// once every such event has run, so repeated calls execute exactly the
-  /// sequence the unbounded overload would. The run-health monitor's
-  /// serial sampling loop drives this between checkpoints.
+  /// time <= t_end, inline hand-offs included. Advances the clock to t_end
+  /// (and returns true) only once every such event has run, so repeated
+  /// calls execute exactly the sequence the unbounded overload would. The
+  /// run-health monitor's serial sampling loop drives this between
+  /// checkpoints.
   bool run_until(Time t_end, std::uint64_t max_events);
   /// Execute at most one event; returns false when the queue is empty.
+  /// Handlers run by a bare step() are never granted an inline hand-off.
   bool step();
 
+  /// Inline hand-off, for a handler about to return: instead of scheduling
+  /// its successor at `t`, ask to run it now, in the same call. Granted
+  /// (clock set to t, one event counted as executed) only if every live
+  /// pending event is strictly later than t (an event pending at exactly t
+  /// keeps its FIFO turn), and run() or run_until() is driving with t
+  /// within its horizon and slice budget. On false the caller schedules as
+  /// usual. Requires t >= now().
+  bool run_next_inline(Time t) {
+    RRNET_EXPECTS(t >= now_);
+    if (settle_top() && queue_top().time <= t) return false;
+    // The successor is next either way. Count it, and the queue depth its
+    // push would reach, before the run loop decides: a refusal below only
+    // moves it through the queue, so the counts do not depend on the loop.
+    ++inlined_;
+    if (queue_size() >= inline_high_water_) {
+      inline_high_water_ = queue_size() + 1;
+    }
+    if (t > horizon_ || executed_ >= budget_end_) return false;
+    now_ = t;
+    ++executed_;
+    return true;
+  }
+
   [[nodiscard]] std::size_t pending_count() const noexcept { return live_; }
+  /// Events executed, inline hand-offs included.
   [[nodiscard]] std::uint64_t executed_count() const noexcept {
     return executed_;
   }
-  /// Deepest the event queue has ever been (queue-pressure gauge).
+  /// Hand-off requests that found nothing else due first. run() grants
+  /// them all, so there this is the number of events run inline; where a
+  /// run_until() horizon, a spent slice budget or a bare step() refuses
+  /// one, that event goes through the queue and still counts.
+  [[nodiscard]] std::uint64_t inline_count() const noexcept {
+    return inlined_;
+  }
+  /// Deepest the event queue has ever been (queue-pressure gauge), counting
+  /// each hand-off as the push it replaced.
   [[nodiscard]] std::size_t heap_high_water() const noexcept {
-    return backend_ == QueueBackend::Ladder ? ladder_.high_water()
-                                            : heap_.high_water();
+    const std::size_t queued = backend_ == QueueBackend::Ladder
+                                   ? ladder_.high_water()
+                                   : heap_.high_water();
+    return queued > inline_high_water_ ? queued : inline_high_water_;
   }
 
  private:
@@ -154,6 +200,9 @@ class Scheduler {
   // predictor pins after the first event.
   [[nodiscard]] bool queue_empty() const noexcept {
     return backend_ == QueueBackend::Ladder ? ladder_.empty() : heap_.empty();
+  }
+  [[nodiscard]] std::size_t queue_size() const noexcept {
+    return backend_ == QueueBackend::Ladder ? ladder_.size() : heap_.size();
   }
   [[nodiscard]] const HeapEntry& queue_top() {
     return backend_ == QueueBackend::Ladder ? ladder_.top() : heap_.top();
@@ -184,6 +233,27 @@ class Scheduler {
   bool settle_top() noexcept;
   std::uint32_t acquire_slot();
 
+  /// Opens run_next_inline() for the scope of one run()/run_until() call;
+  /// the destructor closes it again, also when a handler throws.
+  class Driving {
+   public:
+    Driving(Scheduler& s, Time horizon, std::uint64_t budget_end) noexcept
+        : s_(s) {
+      s_.horizon_ = horizon;
+      s_.budget_end_ = budget_end;
+    }
+    ~Driving() {
+      s_.horizon_ = kClosed;
+      s_.budget_end_ = 0;
+    }
+    Driving(const Driving&) = delete;
+    Driving& operator=(const Driving&) = delete;
+
+   private:
+    Scheduler& s_;
+  };
+  static constexpr Time kClosed = -std::numeric_limits<Time>::infinity();
+
   QueueBackend backend_ = QueueBackend::Ladder;
   QuadHeap<HeapEntry, Earlier> heap_;
   LadderQueue<HeapEntry, EntryTime, Earlier> ladder_;
@@ -192,7 +262,13 @@ class Scheduler {
   Time now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t executed_ = 0;
+  std::uint64_t inlined_ = 0;
+  std::size_t inline_high_water_ = 0;
   std::size_t live_ = 0;
+  // Inline hand-offs are granted for t <= horizon_ while executed_ <
+  // budget_end_; both are closed unless a Driving scope is open.
+  Time horizon_ = kClosed;
+  std::uint64_t budget_end_ = 0;
 };
 
 }  // namespace rrnet::des

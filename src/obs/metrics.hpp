@@ -193,6 +193,10 @@ inline constexpr std::string_view kArbiterGaveUp = "arbiter.gave_up";
 
 // Scheduler.
 inline constexpr std::string_view kDesEventsExecuted = "des.events_executed";
+/// Of des.events_executed, those handed off inline with nothing else due
+/// first; run() runs all of them without a queue trip (des::Scheduler::
+/// inline_count() says what a sliced or stepped run does with them).
+inline constexpr std::string_view kDesEventsInline = "des.events_inline";
 inline constexpr std::string_view kDesHeapHighWater = "des.heap_high_water";
 
 // Pools and arenas (per-run deltas; gauges reset at run start).

@@ -164,7 +164,7 @@ bool Channel::transmit(const Airframe& frame) {
 
 void Channel::advance_transmission(std::uint32_t slot) {
   Transmission& tx = *transmissions_[slot];
-  const des::Time now = scheduler_->now();
+  des::Time now = scheduler_->now();
   for (;;) {
     const bool has_start = tx.next_start < tx.receivers.size();
     const bool has_end = tx.next_end < tx.receivers.size();
@@ -179,6 +179,12 @@ void Channel::advance_transmission(std::uint32_t slot) {
                               ? tx.receivers[tx.next_start].arrival
                               : tx.receivers[tx.next_end].arrival + tx.duration;
     if (due > now) {
+      // Nothing else due first: carry on as the next walker event instead
+      // of a queue round trip (the scheduler advances its clock).
+      if (scheduler_->run_next_inline(due)) {
+        now = due;
+        continue;
+      }
       scheduler_->schedule_at(due,
                               [this, slot]() { advance_transmission(slot); });
       return;

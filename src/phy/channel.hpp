@@ -9,9 +9,12 @@
 // the start stream (arrival_i) and the end stream (arrival_i + duration).
 // The heap holds at most one entry per transmission in flight instead of
 // O(receivers), which keeps it shallow exactly when §3 floods make
-// neighborhoods dense. Start/end interleaving, power draws (grid-query
-// order at transmit time), and same-timestamp ordering (starts before
-// ends; equal arrivals in query order) are preserved bit-for-bit.
+// neighborhoods dense. When nothing else is due before its next start/end,
+// the walker takes the scheduler's inline hand-off and runs it in the same
+// call, so most receiver edges cost no queue operation at all. Start/end
+// interleaving, power draws (grid-query order at transmit time), and
+// same-timestamp ordering (starts before ends; equal arrivals in query
+// order) are preserved bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +111,9 @@ class Channel {
   };
 
   /// Process every start/end due now for the transmission in `slot`, then
-  /// re-schedule for the next due time (or retire the slot when done).
+  /// run on inline or re-schedule for the next due time (or retire the
+  /// slot when done). transmit() always schedules the first arrival: the
+  /// sending MAC is still mid-handler when transmit() returns.
   void advance_transmission(std::uint32_t slot);
   std::uint32_t acquire_transmission();
   void release_transmission(std::uint32_t slot);

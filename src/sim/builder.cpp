@@ -341,6 +341,7 @@ ScenarioResult SimInstance::result() const {
   namespace m = obs::metric;
   network_->snapshot_metrics(r.metrics);
   r.metrics.add(m::kDesEventsExecuted, scheduler_.executed_count());
+  r.metrics.add(m::kDesEventsInline, scheduler_.inline_count());
   r.metrics.set_max(m::kDesHeapHighWater, scheduler_.heap_high_water());
 
   const util::PayloadPool& pkt = net::packet_buffer_pool();

@@ -1,6 +1,8 @@
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -151,6 +153,203 @@ TEST(Scheduler, ManyInterleavedScheduleCancels) {
   for (std::size_t i = 0; i < ids.size(); i += 2) sched.cancel(ids[i]);
   sched.run();
   EXPECT_EQ(fired, 500);
+}
+
+// --- Inline hand-off (run_next_inline) -----------------------------------
+
+// A self-re-arming chain shaped like phy::Channel's walker: each link logs
+// its time; each but the last (if `litter` > 0) leaves a no-op event that
+// much later, then runs the next link inline if the scheduler grants the
+// hand-off (counted in `*granted`), or schedules it.
+struct Chain {
+  Scheduler* sched;
+  std::vector<Time>* log;
+  int remaining;
+  Time gap;
+  Time litter = 0.0;
+  int* granted = nullptr;
+  void operator()() {
+    for (;;) {
+      log->push_back(sched->now());
+      if (--remaining == 0) return;
+      if (litter > 0.0) sched->schedule_in(litter, []() {});
+      const Time next = sched->now() + gap;
+      if (!sched->run_next_inline(next)) {
+        sched->schedule_at(next, *this);
+        return;
+      }
+      if (granted != nullptr) ++*granted;
+    }
+  }
+};
+
+TEST(SchedulerInline, RefusedUnderBareStep) {
+  Scheduler sched;
+  bool granted = true;
+  sched.schedule_at(1.0, [&]() { granted = sched.run_next_inline(2.0); });
+  EXPECT_TRUE(sched.step());
+  EXPECT_FALSE(granted);
+  EXPECT_DOUBLE_EQ(sched.now(), 1.0);
+  EXPECT_EQ(sched.executed_count(), 1u);
+  // Nothing else was due first, so the request counts all the same.
+  EXPECT_EQ(sched.inline_count(), 1u);
+}
+
+TEST(SchedulerInline, GrantAdvancesClockAndExecutedCount) {
+  Scheduler sched;
+  bool granted = false;
+  Time now_after = 0.0;
+  std::uint64_t executed_after = 0;
+  sched.schedule_at(5.0, []() {});  // strictly later: does not block
+  sched.schedule_at(1.0, [&]() {
+    granted = sched.run_next_inline(2.0);
+    now_after = sched.now();
+    executed_after = sched.executed_count();
+  });
+  sched.run();
+  EXPECT_TRUE(granted);
+  EXPECT_DOUBLE_EQ(now_after, 2.0);
+  EXPECT_EQ(executed_after, 2u);
+  EXPECT_EQ(sched.executed_count(), 3u);
+  EXPECT_EQ(sched.inline_count(), 1u);
+}
+
+TEST(SchedulerInline, RefusedWhenLiveEventPendingAtExactlyT) {
+  Scheduler sched;
+  std::vector<std::string> log;
+  sched.schedule_at(2.0, [&]() { log.push_back("pending"); });
+  sched.schedule_at(1.0, [&]() {
+    if (sched.run_next_inline(2.0)) {
+      log.push_back("inline");
+      return;
+    }
+    sched.schedule_at(2.0, [&]() { log.push_back("successor"); });
+  });
+  sched.run();
+  // The event already pending at t keeps its FIFO turn.
+  EXPECT_EQ(log, (std::vector<std::string>{"pending", "successor"}));
+  EXPECT_EQ(sched.inline_count(), 0u);
+}
+
+TEST(SchedulerInline, CancelledEarlierEntryDoesNotBlock) {
+  Scheduler sched;
+  sched.cancel(sched.schedule_at(1.5, []() {}));
+  bool granted = false;
+  sched.schedule_at(1.0, [&]() { granted = sched.run_next_inline(2.0); });
+  sched.run();
+  EXPECT_TRUE(granted);
+  EXPECT_EQ(sched.inline_count(), 1u);
+}
+
+TEST(SchedulerInline, RunUntilGrantsUpToItsHorizonOnly) {
+  Scheduler sched;
+  std::vector<Time> log;
+  int granted = 0;
+  // Links at 1, 2, 3 and 4.
+  sched.schedule_at(1.0, Chain{&sched, &log, 4, 1.0, 0.0, &granted});
+  sched.run_until(2.0);
+  // 2.0 == t_end runs inline; 3.0 is beyond it and was scheduled instead.
+  EXPECT_EQ(log, (std::vector<Time>{1.0, 2.0}));
+  EXPECT_EQ(granted, 1);
+  EXPECT_EQ(sched.executed_count(), 2u);
+  EXPECT_EQ(sched.pending_count(), 1u);
+  EXPECT_DOUBLE_EQ(sched.now(), 2.0);
+  sched.run();
+  EXPECT_EQ(log, (std::vector<Time>{1.0, 2.0, 3.0, 4.0}));
+  EXPECT_EQ(granted, 2);
+  EXPECT_EQ(sched.inline_count(), 3u);  // the refused request counts too
+  EXPECT_EQ(sched.executed_count(), 4u);
+}
+
+TEST(SchedulerInline, HandlerThrowingOutOfRunClosesHandOff) {
+  Scheduler sched;
+  sched.schedule_at(1.0, []() { throw std::runtime_error("handler failed"); });
+  EXPECT_THROW(sched.run(), std::runtime_error);
+  bool granted = true;
+  sched.schedule_at(2.0, [&]() { granted = sched.run_next_inline(3.0); });
+  EXPECT_TRUE(sched.step());
+  EXPECT_FALSE(granted);
+  EXPECT_DOUBLE_EQ(sched.now(), 2.0);
+  EXPECT_EQ(sched.executed_count(), 2u);
+}
+
+TEST(SchedulerInline, BoundedSliceCountsInlineEventsAgainstItsBudget) {
+  // One 100-link chain that run() would finish in a single step(): slices
+  // of 7 must stop after 7 events, not after 7 step() calls.
+  Scheduler sched;
+  std::vector<Time> log;
+  int granted = 0;
+  sched.schedule_at(1.0, Chain{&sched, &log, 100, 0.5, 0.0, &granted});
+  std::uint64_t slices = 0;
+  while (!sched.run_until(1000.0, 7)) {
+    ++slices;
+    ASSERT_EQ(sched.executed_count(), 7 * slices);
+    ASSERT_EQ(log.size(), 7 * slices);
+  }
+  EXPECT_EQ(slices, 14u);  // 100 = 14 * 7 + 2
+  EXPECT_EQ(sched.executed_count(), 100u);
+  EXPECT_EQ(granted, 100 - 15);  // every link but the one step() per slice
+  EXPECT_EQ(sched.inline_count(), 99u);
+  EXPECT_DOUBLE_EQ(sched.now(), 1000.0);
+  // Same sequence as one unbounded call.
+  ASSERT_EQ(log.size(), 100u);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_DOUBLE_EQ(log[i], 1.0 + 0.5 * static_cast<double>(i));
+  }
+}
+
+TEST(SchedulerInline, CountsDoNotDependOnTheRunLoop) {
+  // Two interleaved chains, one leaving far-future events behind so that
+  // the queue peaks at its last hand-off, plus a cancelled entry. One run(),
+  // run_until() slices that cut the chains, budget slices and bare step()s
+  // must execute the same sequence and report the same counts.
+  struct Outcome {
+    std::vector<Time> log;
+    int granted = 0;
+    std::uint64_t executed = 0;
+    std::uint64_t inlined = 0;
+    std::size_t high_water = 0;
+  };
+  const auto drive = [](int loop) {
+    Scheduler sched;
+    Outcome o;
+    sched.schedule_at(1.0, Chain{&sched, &o.log, 20, 1.0, 1000.0, &o.granted});
+    sched.schedule_at(1.25, Chain{&sched, &o.log, 5, 2.0, 0.0, &o.granted});
+    sched.cancel(sched.schedule_at(3.5, []() {}));
+    switch (loop) {
+      case 0:
+        sched.run();
+        break;
+      case 1:
+        for (Time t = 0.5; t < 1100.0; t += 0.75) sched.run_until(t);
+        break;
+      case 2:
+        while (!sched.run_until(1100.0, 3)) {
+        }
+        break;
+      default:
+        while (sched.step()) {
+        }
+    }
+    o.executed = sched.executed_count();
+    o.inlined = sched.inline_count();
+    o.high_water = sched.heap_high_water();
+    return o;
+  };
+  const Outcome reference = drive(0);
+  EXPECT_EQ(reference.executed, 20u + 5u + 19u);
+  EXPECT_GT(reference.inlined, 0u);
+  EXPECT_LT(reference.inlined, 19u + 4u);  // some found the other chain due
+  EXPECT_EQ(reference.granted, static_cast<int>(reference.inlined));
+  for (int loop = 1; loop < 4; ++loop) {
+    SCOPED_TRACE(loop);
+    const Outcome o = drive(loop);
+    EXPECT_LT(o.granted, reference.granted);  // 0 under bare step()s
+    EXPECT_EQ(o.log, reference.log);
+    EXPECT_EQ(o.executed, reference.executed);
+    EXPECT_EQ(o.inlined, reference.inlined);
+    EXPECT_EQ(o.high_water, reference.high_water);
+  }
 }
 
 TEST(Timer, FiresAfterDelay) {

@@ -2,9 +2,12 @@
 #include <cstring>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench_common.hpp"
 #include "sim/replication.hpp"
 #include "sim/runner.hpp"
 #include "sim/sweep.hpp"
@@ -135,6 +138,61 @@ void expect_bit_identical(const util::Summary& a, const util::Summary& b,
   EXPECT_EQ(bits(a.min), bits(b.min)) << what << ".min";
   EXPECT_EQ(bits(a.max), bits(b.max)) << what << ".max";
   EXPECT_EQ(bits(a.ci95), bits(b.ci95)) << what << ".ci95";
+}
+
+// A bare step() loop is never granted an inline hand-off, so it is the
+// reference path for the channel walker's inline runs: run_until(T) plus one
+// step() must execute the same events and leave the same registry, the
+// hand-off and queue-depth counts included, as stepping one event at a
+// time to the first event past T.
+TEST(SimInstance, InlineHandOffMatchesBareStepOracle) {
+  struct Outcome {
+    std::uint64_t events = 0;
+    std::uint64_t delivered = 0;
+    std::vector<std::pair<std::string, std::uint64_t>> metrics;
+  };
+  constexpr des::Time kHorizon = 12.0;
+  for (const ProtocolKind protocol :
+       {ProtocolKind::Routeless, ProtocolKind::Aodv, ProtocolKind::Ssaf}) {
+    SCOPED_TRACE(to_string(protocol));
+    ScenarioConfig config = bench::figure3_setup();
+    config.protocol = protocol;
+    config.failure_fraction = 0.10;
+    // One instance at a time: pools are thread-local, so two live
+    // instances would see each other's allocations.
+    const auto outcome = [&](bool stepped) {
+      SimInstance sim(config);
+      des::Scheduler& sched = sim.scheduler();
+      if (stepped) {
+        sim.run_until(0.0);
+        while (sched.step() && sched.now() <= kHorizon) {
+        }
+      } else {
+        sim.run_until(kHorizon);
+        sched.step();
+      }
+      const ScenarioResult r = sim.result();
+      Outcome o{r.events_executed, r.delivered, {}};
+      for (const obs::Metric& m : r.metrics.snapshot()) {
+        // Pool counters describe the thread's arenas, not the run.
+        if (m.name.rfind("pool.", 0) != 0) {
+          o.metrics.emplace_back(m.name, m.value);
+        }
+      }
+      return o;
+    };
+    const Outcome fused = outcome(false);
+    const Outcome oracle = outcome(true);
+    EXPECT_GT(fused.delivered, 0u);
+    EXPECT_EQ(fused.events, oracle.events);
+    EXPECT_EQ(fused.delivered, oracle.delivered);
+    EXPECT_EQ(fused.metrics, oracle.metrics);
+    std::uint64_t inlined = 0;
+    for (const auto& [name, value] : fused.metrics) {
+      if (name == obs::metric::kDesEventsInline) inlined = value;
+    }
+    EXPECT_GT(inlined, fused.events / 2);
+  }
 }
 
 TEST(Replication, ParallelIsBitIdenticalToSerial) {
