@@ -7,7 +7,7 @@
 // node density fixed while the terrain grows, so per-node neighborhood
 // size — and with it the per-transmission event fan-out — stays constant
 // while total event volume scales linearly. It exists to keep a tracked
-// wall-clock/throughput baseline for the regime the 4-ary heap + fused
+// wall-clock/throughput baseline for the regime the ladder queue + fused
 // broadcast work targets; delivery/delay columns double as a sanity check
 // that the protocols still work at scale.
 //

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: plain build + tests, the perfbench seed-1 pins, then
-# the same suite under ASan/UBSan (second build dir, registered as the
-# "sanitize" configuration), a JSON export smoke, and the threaded tests
-# under TSan (third build dir).
+# Tier-1 verification: plain build + tests, the perfbench seed-1 pins and
+# perfbench's own unit tests, then the same suite under ASan/UBSan (second
+# build dir, registered as the "sanitize" configuration), a JSON export
+# smoke, and the threaded tests under TSan (third build dir).
 #
 # Usage: scripts/verify.sh [--with-bench] [--large-n-smoke]
 #   --with-bench     additionally run the engine benchmark suite and refresh
@@ -59,6 +59,9 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
   echo "perfbench $workload: pins hold, 0 failed"
 done
 
+echo "== perfbench unit tests =="
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 echo "== bench regression gate =="
 # The gate only means something against a tracing-free binary: the checked-in
 # baseline is measured with RRNET_TRACE off, and the telemetry layer's
@@ -88,10 +91,6 @@ cmake -B build-sanitize -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DRRNET_TRACE=ON \
       "-DRRNET_SANITIZE=address;undefined" >/dev/null
 cmake --build build-sanitize -j "$JOBS"
-# Pin the ladder backend for the sanitized run: the ladder exercises the
-# bucket/rung machinery everywhere, and the backend cross-check tests
-# instantiate the quad-heap explicitly, so ASan/UBSan sweep both queues.
-RRNET_SCHED_QUEUE=ladder \
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
   ctest --test-dir build-sanitize --output-on-failure -j "$JOBS"
 

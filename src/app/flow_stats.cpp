@@ -16,7 +16,6 @@ void FlowStats::record_delivered(const net::PacketRef& packet, des::Time now) {
   ++delivered_;
   delay_.add(now - packet.created_at());
   hops_.add(static_cast<double>(packet.actual_hops()));
-  if (series_.has_value()) series_->add(now, now - packet.created_at());
 }
 
 double FlowStats::delivery_ratio() const noexcept {

@@ -18,14 +18,13 @@
 // code made for unknown uids.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 
 #include "des/time.hpp"
 #include "net/duplicate_cache.hpp"
 #include "net/packet_buffer.hpp"
 #include "util/stats.hpp"
-#include "util/timeseries.hpp"
 
 namespace rrnet::app {
 
@@ -52,16 +51,6 @@ class FlowStats {
     return hops_;
   }
 
-  /// Start recording a per-bucket delivery time series (count = deliveries
-  /// per bucket, value = end-to-end delay). Call before the run.
-  void enable_timeseries(double bucket_width_s, double start_s = 0.0) {
-    series_.emplace(bucket_width_s, start_s);
-  }
-  /// Null unless enable_timeseries() was called.
-  [[nodiscard]] const util::TimeSeries* timeseries() const noexcept {
-    return series_.has_value() ? &*series_ : nullptr;
-  }
-
   /// Bookkeeping introspection (the memory-bound regression test).
   [[nodiscard]] std::size_t uid_window() const noexcept {
     return outstanding_.capacity();
@@ -85,7 +74,6 @@ class FlowStats {
   net::DuplicateCache seen_uids_;    ///< delivered (duplicate suppression)
   util::Accumulator delay_;
   util::Accumulator hops_;
-  std::optional<util::TimeSeries> series_;
 };
 
 }  // namespace rrnet::app

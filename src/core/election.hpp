@@ -48,8 +48,8 @@ class ElectionSession {
  public:
   /// Called when this node wins; receives the backoff delay that won (the
   /// protocol passes it on as the MAC queue priority). Inline, move-only:
-  /// captures above 48 bytes are a compile error — box the packet behind a
-  /// pooled handle (util::make_pooled) and capture the 16-byte handle.
+  /// captures above 48 bytes are a compile error. A packet fits as its
+  /// 24-byte net::PacketRef handle.
   using WinHandler = des::InlineFunction<void(des::Time delay), 48>;
 
   explicit ElectionSession(des::Scheduler& scheduler) noexcept

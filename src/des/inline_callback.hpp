@@ -10,9 +10,9 @@
 // inside the object (Capacity bytes of aligned storage + one ops-table
 // pointer), is move-only, and *statically rejects* captures that do not
 // fit: exceeding the budget is a compile error at the schedule site, never
-// a silent heap fallback. Code that genuinely needs a large state block
-// (e.g. a delayed net::Packet relay) boxes it behind a 16-byte ref-counted
-// handle (util::make_pooled) and captures the handle.
+// a silent heap fallback. A deferred packet fits because it travels as a
+// 24-byte net::PacketRef handle; a capture that does not fit belongs in a
+// member of the object the callback points at, with only `this` captured.
 //
 // InlineCallback (= InlineFunction<void(), 64>) is the scheduler/timer
 // callback type; core::ElectionSession::WinHandler and

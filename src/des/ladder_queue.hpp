@@ -79,8 +79,6 @@ class LadderQueue {
   /// mirroring QuadHeap::high_water()).
   [[nodiscard]] std::size_t high_water() const noexcept { return high_water_; }
 
-  void reserve(std::size_t n) { overflow_.reserve(n); }
-
   void clear() noexcept {
     bottom_.clear();
     while (!rungs_.empty()) retire_innermost_rung();

@@ -1,8 +1,6 @@
 #include "des/scheduler.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -14,20 +12,6 @@
 #endif
 
 namespace rrnet::des {
-
-QueueBackend default_queue_backend() noexcept {
-  // Read once: the env var selects a backend for the whole process (it
-  // exists so CI can sweep both implementations, not for runtime toggling).
-  static const QueueBackend backend = []() noexcept {
-    const char* const env = std::getenv("RRNET_SCHED_QUEUE");
-    if (env != nullptr &&
-        (std::strcmp(env, "heap") == 0 || std::strcmp(env, "quad") == 0)) {
-      return QueueBackend::Heap;
-    }
-    return QueueBackend::Ladder;
-  }();
-  return backend;
-}
 
 std::uint32_t Scheduler::acquire_slot() {
   if (!free_slots_.empty()) {
@@ -47,7 +31,7 @@ EventId Scheduler::schedule_at(Time t, Callback cb) {
   s.callback = std::move(cb);
   s.live = true;
   ++live_;
-  queue_push(HeapEntry{t, next_sequence_++, slot, s.generation});
+  queue_.push(HeapEntry{t, next_sequence_++, slot, s.generation});
   return EventId{slot, s.generation};
 }
 
@@ -73,11 +57,11 @@ bool Scheduler::pending(EventId id) const noexcept {
 }
 
 bool Scheduler::settle_top() noexcept {
-  while (!queue_empty()) {
-    const HeapEntry& top = queue_top();
+  while (!queue_.empty()) {
+    const HeapEntry& top = queue_.top();
     const Slot& s = slots_[top.slot];
     if (s.live && s.generation == top.generation) return true;
-    queue_pop();  // cancelled; its slot was already recycled
+    queue_.pop();  // cancelled; its slot was already recycled
   }
   return false;
 }
@@ -89,8 +73,8 @@ bool Scheduler::step() {
   // once per peek).
   HeapEntry top;
   for (;;) {
-    if (queue_empty()) return false;
-    top = queue_pop_top();
+    if (queue_.empty()) return false;
+    top = queue_.pop_top();
     const Slot& dead = slots_[top.slot];
     if (dead.live && dead.generation == top.generation) break;
   }
@@ -135,7 +119,7 @@ void Scheduler::run_until(Time t_end) {
   RRNET_EXPECTS(t_end >= now_);
   const Driving driving(*this, t_end,
                         std::numeric_limits<std::uint64_t>::max());
-  while (settle_top() && queue_top().time <= t_end) {
+  while (settle_top() && queue_.top().time <= t_end) {
     step();
   }
   now_ = t_end;
@@ -149,7 +133,7 @@ bool Scheduler::run_until(Time t_end, std::uint64_t max_events) {
       std::numeric_limits<std::uint64_t>::max() - executed_;
   const std::uint64_t budget_end = executed_ + std::min(max_events, headroom);
   const Driving driving(*this, t_end, budget_end);
-  while (settle_top() && queue_top().time <= t_end) {
+  while (settle_top() && queue_.top().time <= t_end) {
     if (executed_ >= budget_end) return false;
     step();
   }

@@ -6,19 +6,10 @@
 // Ties in time are executed in insertion order, which makes simulations
 // deterministic even when two events share a timestamp.
 //
-// Two queue backends implement the same strict total order, so switching
-// between them is bit-identical (the serial==ladder determinism gate in
-// tests/ladder_queue_test.cpp checks this):
-//
-//  * QueueBackend::Ladder (default): des::LadderQueue, O(1) amortized —
-//    pushes append to time buckets, comparisons are spent only on the few
-//    imminent events.
-//  * QueueBackend::Heap: des::QuadHeap, O(log n) — the simpler reference
-//    implementation the ladder is validated against.
-//
-// The environment variable RRNET_SCHED_QUEUE=heap|ladder overrides the
-// default for default-constructed schedulers (used by scripts/verify.sh to
-// sweep both backends under sanitizers).
+// The queue is a des::LadderQueue, O(1) amortized: pushes append to time
+// buckets, and comparisons are spent only on the few imminent events. Its
+// pop order is the same strict (time, sequence) order a des::QuadHeap
+// gives, which tests/ladder_queue_test.cpp cross-checks.
 //
 // Callbacks are des::InlineCallback, not std::function: captures live inside
 // the pooled slot (zero heap allocations per event in steady state) and a
@@ -41,21 +32,10 @@
 
 #include "des/inline_callback.hpp"
 #include "des/ladder_queue.hpp"
-#include "des/quad_heap.hpp"
 #include "des/time.hpp"
 #include "util/contracts.hpp"
 
 namespace rrnet::des {
-
-/// Priority-queue implementation behind Scheduler.
-enum class QueueBackend : std::uint8_t {
-  Heap,    ///< 4-ary heap; O(log n) reference implementation
-  Ladder,  ///< bucketed ladder queue; O(1) amortized
-};
-
-/// Backend used by default-constructed schedulers: Ladder unless the
-/// RRNET_SCHED_QUEUE environment variable says "heap".
-[[nodiscard]] QueueBackend default_queue_backend() noexcept;
 
 /// Opaque handle to a scheduled event; value-semantic and cheap to copy.
 struct EventId {
@@ -71,12 +51,9 @@ class Scheduler {
  public:
   using Callback = InlineCallback;
 
-  Scheduler() : Scheduler(default_queue_backend()) {}
-  explicit Scheduler(QueueBackend backend) : backend_(backend) {}
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-
-  [[nodiscard]] QueueBackend queue_backend() const noexcept { return backend_; }
 
   /// Current simulated time (0 before any event runs).
   [[nodiscard]] Time now() const noexcept { return now_; }
@@ -96,7 +73,7 @@ class Scheduler {
     s.callback.emplace(std::forward<F>(f));
     s.live = true;
     ++live_;
-    queue_push(HeapEntry{t, next_sequence_++, slot, s.generation});
+    queue_.push(HeapEntry{t, next_sequence_++, slot, s.generation});
     return EventId{slot, s.generation};
   }
   EventId schedule_at(Time t, Callback cb);
@@ -139,13 +116,13 @@ class Scheduler {
   /// usual. Requires t >= now().
   bool run_next_inline(Time t) {
     RRNET_EXPECTS(t >= now_);
-    if (settle_top() && queue_top().time <= t) return false;
+    if (settle_top() && queue_.top().time <= t) return false;
     // The successor is next either way. Count it, and the queue depth its
     // push would reach, before the run loop decides: a refusal below only
     // moves it through the queue, so the counts do not depend on the loop.
     ++inlined_;
-    if (queue_size() >= inline_high_water_) {
-      inline_high_water_ = queue_size() + 1;
+    if (queue_.size() >= inline_high_water_) {
+      inline_high_water_ = queue_.size() + 1;
     }
     if (t > horizon_ || executed_ >= budget_end_) return false;
     now_ = t;
@@ -168,9 +145,7 @@ class Scheduler {
   /// Deepest the event queue has ever been (queue-pressure gauge), counting
   /// each hand-off as the push it replaced.
   [[nodiscard]] std::size_t heap_high_water() const noexcept {
-    const std::size_t queued = backend_ == QueueBackend::Ladder
-                                   ? ladder_.high_water()
-                                   : heap_.high_water();
+    const std::size_t queued = queue_.high_water();
     return queued > inline_high_water_ ? queued : inline_high_water_;
   }
 
@@ -195,39 +170,6 @@ class Scheduler {
     std::uint32_t generation = 0;
     bool live = false;
   };
-
-  // Backend dispatch: one branch per queue touch, on a member the branch
-  // predictor pins after the first event.
-  [[nodiscard]] bool queue_empty() const noexcept {
-    return backend_ == QueueBackend::Ladder ? ladder_.empty() : heap_.empty();
-  }
-  [[nodiscard]] std::size_t queue_size() const noexcept {
-    return backend_ == QueueBackend::Ladder ? ladder_.size() : heap_.size();
-  }
-  [[nodiscard]] const HeapEntry& queue_top() {
-    return backend_ == QueueBackend::Ladder ? ladder_.top() : heap_.top();
-  }
-  void queue_pop() {
-    if (backend_ == QueueBackend::Ladder) {
-      ladder_.pop();
-    } else {
-      heap_.pop();
-    }
-  }
-  /// Fused top+pop: one settle/sift per executed event instead of the
-  /// three a peek-check-pop sequence costs (step() is the hottest loop in
-  /// the engine; the ladder re-walks its rung fast path on every peek).
-  HeapEntry queue_pop_top() {
-    return backend_ == QueueBackend::Ladder ? ladder_.pop_top()
-                                            : heap_.pop_top();
-  }
-  void queue_push(HeapEntry entry) {
-    if (backend_ == QueueBackend::Ladder) {
-      ladder_.push(entry);
-    } else {
-      heap_.push(entry);
-    }
-  }
 
   /// Pop entries until the top is live; returns false if the queue empties.
   bool settle_top() noexcept;
@@ -254,9 +196,7 @@ class Scheduler {
   };
   static constexpr Time kClosed = -std::numeric_limits<Time>::infinity();
 
-  QueueBackend backend_ = QueueBackend::Ladder;
-  QuadHeap<HeapEntry, Earlier> heap_;
-  LadderQueue<HeapEntry, EntryTime, Earlier> ladder_;
+  LadderQueue<HeapEntry, EntryTime, Earlier> queue_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   Time now_ = 0.0;

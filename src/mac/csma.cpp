@@ -6,20 +6,7 @@
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
-namespace {
-bool mac_trace_enabled() {
-  static const bool on = std::getenv("RRNET_MAC_TRACE") != nullptr;
-  return on;
-}
-#define MAC_TRACE(...) \
-  do { if (mac_trace_enabled()) std::fprintf(stderr, __VA_ARGS__); } while (0)
-}  // namespace
-
 namespace rrnet::mac {
-
 
 CsmaMac::CsmaMac(phy::Channel& channel, std::uint32_t node_id,
                  MacParams params, des::Rng rng, MacListener& listener)
@@ -209,8 +196,6 @@ void CsmaMac::send_rts() {
   tx_is_ack_ = false;
   tx_is_rts_ = true;
   ++stats_.rts_tx;
-  MAC_TRACE("%.6f n%u TX RTS->%u seq=%u\n", scheduler_->now(), node_id_,
-            rts.dst, rts.sequence);
   state_ = TxState::Transmitting;
 }
 
@@ -240,8 +225,6 @@ void CsmaMac::transmit_data_now() {
     tx_is_ack_ = false;
     tx_is_rts_ = false;
     ++stats_.data_tx;
-    MAC_TRACE("%.6f n%u TX DATA->%u seq=%u\n", scheduler_->now(), node_id_,
-              current_->frame.dst, current_->frame.sequence);
     state_ = TxState::Transmitting;
   });
 }
@@ -274,8 +257,6 @@ void CsmaMac::send_cts(const Frame& rts) {
       airframe_id_ = air.id;
       tx_is_ack_ = true;  // fire-and-forget, like an ACK
       ++stats_.cts_tx;
-      MAC_TRACE("%.6f n%u TX CTS->%u seq=%u nav=%.4f\n", scheduler_->now(),
-                node_id_, cts.dst, cts.sequence, cts.nav_duration);
       // Reserve ourselves for the granted exchange.
       nav_until_ = std::max(nav_until_,
                             scheduler_->now() +
@@ -375,8 +356,6 @@ void CsmaMac::send_ack(const Frame& data_frame) {
 void CsmaMac::on_receive(const phy::Airframe& air, const phy::RxInfo& info) {
   const Frame& frame = air.frame;
   if (frame.kind == FrameKind::Rts) {
-    MAC_TRACE("%.6f n%u RX RTS from %u->%u\n", scheduler_->now(), node_id_,
-              frame.src, frame.dst);
     if (frame.dst == node_id_) {
       send_cts(frame);
     } else {
@@ -406,8 +385,6 @@ void CsmaMac::on_receive(const phy::Airframe& air, const phy::RxInfo& info) {
     }
     return;
   }
-  MAC_TRACE("%.6f n%u RX DATA from %u->%u\n", scheduler_->now(), node_id_,
-            frame.src, frame.dst);
   const bool for_us = frame.dst == node_id_ || is_broadcast(frame);
   if (frame.dst == node_id_) send_ack(frame);
   listener_->mac_receive(frame, info, for_us);

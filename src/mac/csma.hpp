@@ -82,9 +82,6 @@ class CsmaMac final : public phy::RadioListener, public util::PoolAllocated {
 
   [[nodiscard]] const MacStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::uint32_t node_id() const noexcept { return node_id_; }
-  [[nodiscard]] std::size_t queue_length() const noexcept {
-    return queue_.size();
-  }
   /// Deepest the net->MAC queue has ever been (congestion gauge).
   [[nodiscard]] std::size_t queue_high_water() const noexcept {
     return queue_.high_water();

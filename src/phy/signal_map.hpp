@@ -110,10 +110,6 @@ class SignalMap {
     return slot < count_ && ids_[slot] == frame_id;
   }
 
-  [[nodiscard]] double power_mw_at(std::uint32_t slot) const noexcept {
-    return powers_[slot];
-  }
-
   /// Remove the signal in `slot` (from insert()/find()); returns its power.
   double erase_slot(std::uint32_t slot) noexcept {
     const double power_mw = powers_[slot];

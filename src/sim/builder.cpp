@@ -1,6 +1,8 @@
 #include "sim/builder.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <string>
 
 #include "geom/placement.hpp"
 #include "obs/health.hpp"
@@ -138,7 +140,6 @@ void SimInstance::reserve_node_pools(const ScenarioConfig& config,
 
 SimInstance::SimInstance(const ScenarioConfig& config)
     : config_(config),
-      scheduler_(config.scheduler_queue),
       terrain_(config.width_m, config.height_m) {
   RRNET_EXPECTS(config.nodes >= 2);
 
@@ -277,27 +278,40 @@ void SimInstance::run_until(des::Time t) {
   if (tracer_ != nullptr && obs::thread_tracer() != tracer_.get()) {
     obs::set_thread_tracer(tracer_.get());
   }
-  if (!started_) {
-    started_ = true;
-    network_->start_protocols();
-    if (failures_ != nullptr) failures_->start();
-    if (mobility_ != nullptr) mobility_->start();
-    for (auto& source : sources_) source->start();
-  }
-  obs::RunHealthMonitor* monitor = config_.health_monitor;
-  if (monitor == nullptr) {
-    scheduler_.run_until(t);
-    return;
-  }
-  // Serial health sampling: run in bounded event slices so the monitor can
-  // sample throughput/RSS "every N events" and enforce budgets between
-  // slices. The slice sequence executes exactly what one run_until(t)
-  // would, so results are unchanged; a budget abort stops at a slice edge
-  // and keeps the partial state consistent for result().
-  constexpr std::uint64_t kEventsPerCheckpoint = std::uint64_t{1} << 18;
-  bool within_budget = monitor->checkpoint(scheduler_.executed_count());
-  while (within_budget && !scheduler_.run_until(t, kEventsPerCheckpoint)) {
-    within_budget = monitor->checkpoint(scheduler_.executed_count());
+  // A contract violation names the failed check and its source line; add
+  // when in the run it fired, so the failing event can be found again.
+  try {
+    if (!started_) {
+      started_ = true;
+      network_->start_protocols();
+      if (failures_ != nullptr) failures_->start();
+      if (mobility_ != nullptr) mobility_->start();
+      for (auto& source : sources_) source->start();
+    }
+    obs::RunHealthMonitor* monitor = config_.health_monitor;
+    if (monitor == nullptr) {
+      scheduler_.run_until(t);
+      return;
+    }
+    // Serial health sampling: run in bounded event slices so the monitor
+    // can sample throughput/RSS "every N events" and enforce budgets
+    // between slices. The slice sequence executes exactly what one
+    // run_until(t) would, so results are unchanged; a budget abort stops at
+    // a slice edge and keeps the partial state consistent for result().
+    constexpr std::uint64_t kEventsPerCheckpoint = std::uint64_t{1} << 18;
+    bool within_budget = monitor->checkpoint(scheduler_.executed_count());
+    while (within_budget && !scheduler_.run_until(t, kEventsPerCheckpoint)) {
+      within_budget = monitor->checkpoint(scheduler_.executed_count());
+    }
+  } catch (const ContractViolation& e) {
+    // Shortest decimal that reads back as the same time, e.g. "0.5".
+    char now[32];
+    const std::to_chars_result end =
+        std::to_chars(now, now + sizeof now, scheduler_.now());
+    throw ContractViolation(std::string(e.what()) + " (at sim time " +
+                            std::string(now, end.ptr) +
+                            " s, events executed: " +
+                            std::to_string(scheduler_.executed_count()) + ")");
   }
 }
 

@@ -26,7 +26,8 @@ class SimInstance {
   SimInstance& operator=(const SimInstance&) = delete;
 
   /// Run to config.sim_end. May be called repeatedly with later horizons
-  /// via run_until().
+  /// via run_until(). A ContractViolation that escapes a handler is
+  /// rethrown with the sim time and the events executed appended.
   void run();
   void run_until(des::Time t);
 

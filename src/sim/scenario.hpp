@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "des/rng.hpp"
-#include "des/scheduler.hpp"
+#include "des/time.hpp"
 #include "obs/metrics.hpp"
 #include "phy/energy.hpp"
 #include "mac/csma.hpp"
@@ -48,12 +48,6 @@ enum class PropagationKind : std::uint8_t {
 
 struct ScenarioConfig {
   std::uint64_t seed = 1;
-
-  /// Event-queue implementation behind the scheduler. Both backends pop in
-  /// the same strict (time, sequence) order, so results are bit-identical;
-  /// the field exists so the serial==ladder determinism gate can run the
-  /// same scenario on each and compare metric snapshots.
-  des::QueueBackend scheduler_queue = des::default_queue_backend();
 
   // Topology.
   std::size_t nodes = 100;

@@ -48,17 +48,4 @@ double PathTrace::mean_detour(const PacketPath& path, geom::Vec2 a,
   return acc.mean();
 }
 
-double PathTrace::average_detour(std::uint32_t origin,
-                                 std::uint32_t target) const {
-  const geom::Vec2 a = network_->channel().position(origin);
-  const geom::Vec2 b = network_->channel().position(target);
-  util::Accumulator acc;
-  for (const auto& [uid, path] : paths_) {
-    if (path.origin == origin && path.target == target && path.delivered) {
-      acc.add(mean_detour(path, a, b));
-    }
-  }
-  return acc.empty() ? 0.0 : acc.mean();
-}
-
 }  // namespace rrnet::trace

@@ -62,10 +62,6 @@ class PathTrace final : public net::PacketObserver {
   [[nodiscard]] static double mean_detour(const PacketPath& path, geom::Vec2 a,
                                           geom::Vec2 b);
 
-  /// Average mean_detour over all delivered paths between origin & target.
-  [[nodiscard]] double average_detour(std::uint32_t origin,
-                                      std::uint32_t target) const;
-
   [[nodiscard]] std::uint32_t type_mask() const noexcept { return type_mask_; }
 
  private:

@@ -1,15 +1,10 @@
-// Fixed-capacity free-list pool for boxed immutable payloads.
+// Fixed-capacity free-list pools for the simulator's hot allocations.
 //
-// Relay packets (net::Packet) and MAC frame payloads travel through the
-// simulator as `std::shared_ptr<const T>`: one control+payload block per
-// boxed object, allocated with make_shared and freed when the last frame
-// or pending callback drops it. Those were the last per-event heap
-// allocations in the fig1/fig3 scenario benches (~0.06–0.08 allocs/event).
-//
-// PayloadPool removes them: make_pooled<T>(...) routes allocate_shared's
-// single combined block through a thread-local free-list arena, so in
-// steady state boxing a payload is a pointer pop and releasing it a
-// pointer push. Key properties:
+// Packet buffers (net::PacketBuffer), per-receiver signal maps, the nodes
+// of the pooled containers and the node-stack objects come from a
+// thread-local free-list arena instead of the heap, so in steady state an
+// allocation is a pointer pop and a release a pointer push. Key
+// properties:
 //
 //  * Fallback, never failure: when the arena is exhausted, chunks come
 //    from operator new. Every chunk carries a header naming its owner
@@ -19,22 +14,16 @@
 //    (sim::ScenarioResult is plain data), so pooled handles never cross
 //    threads and the pools need no locks. Each pool frees its arena at
 //    thread exit; outstanding heap-fallback chunks free themselves.
-//  * Lazy chunk sizing: allocate_shared's combined block size (control
-//    block + T) is an implementation detail, so the arena is carved on
-//    the first allocation, when the size is known. Requests of any other
-//    size (e.g. a different T rebound through the same allocator) take
-//    the heap path.
-//
-// make_pooled keeps the `std::shared_ptr<const T>` handle type for callers
-// that want shared immutable state without intrusive refcounts; the packet
-// path itself uses the intrusive net::PacketBuffer on a raw PayloadPool.
+//  * Lazy chunk sizing: a container node's size is a standard-library
+//    implementation detail, so the arena is carved on the first
+//    allocation, when the size is known. Requests of any other size (e.g.
+//    a hash bucket array) take the heap path.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
-#include <utility>
 #include <vector>
 
 namespace rrnet::util {
@@ -176,50 +165,12 @@ class PayloadPool {
   std::size_t in_use_high_water_ = 0;
 };
 
-/// Minimal allocator front-end so std::allocate_shared places its combined
-/// control-block+payload node in the pool. Rebound copies share the pool.
-template <typename T>
-class PooledAllocator {
- public:
-  using value_type = T;
-
-  explicit PooledAllocator(PayloadPool* pool) noexcept : pool_(pool) {}
-  template <typename U>
-  PooledAllocator(const PooledAllocator<U>& other) noexcept
-      : pool_(other.pool_) {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(pool_->allocate(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t) noexcept { PayloadPool::release(p); }
-
-  template <typename U>
-  bool operator==(const PooledAllocator<U>& other) const noexcept {
-    return pool_ == other.pool_;
-  }
-
-  PayloadPool* pool_;
-};
-
-/// The per-payload-type, per-thread pool used by make_pooled<T>.
+/// The calling thread's pool keyed by type T: one chunk size per key, so
+/// each pooled container node type and phy::SignalMap get their own.
 template <typename T>
 PayloadPool& payload_pool() {
   thread_local PayloadPool pool;
   return pool;
-}
-
-/// Counters for the calling thread's T-pool (tests and benches).
-template <typename T>
-const PoolStats& pooled_stats() {
-  return payload_pool<T>().stats();
-}
-
-/// Box an immutable payload in the calling thread's T-pool. Drop-in for
-/// `std::make_shared<const T>(...)` on hot paths.
-template <typename T, typename... Args>
-std::shared_ptr<const T> make_pooled(Args&&... args) {
-  return std::allocate_shared<T>(PooledAllocator<T>(&payload_pool<T>()),
-                                 std::forward<Args>(args)...);
 }
 
 /// Size-class pools for whole objects (64-byte steps up to 1 KiB). Every

@@ -1,6 +1,7 @@
-// des::LadderQueue: ordering, FIFO discipline, allocation-free reuse, a
-// randomized model test, a heap-vs-ladder cross-check on one workload, and
-// the serial==ladder bit-identical scenario determinism gate.
+// des::LadderQueue: ordering, FIFO discipline, a randomized model test,
+// and cross-checks against des::QuadHeap, the scheduler's pop-order
+// oracle, on a random workload and on the queue traffic of the paper's
+// Fig. 4 node-failure runs.
 #include "des/ladder_queue.hpp"
 
 #include <algorithm>
@@ -11,10 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "des/quad_heap.hpp"
-#include "des/rng.hpp"
-#include "des/scheduler.hpp"
-#include "obs/metrics.hpp"
-#include "sim/runner.hpp"
 
 namespace rrnet::des {
 namespace {
@@ -124,129 +121,100 @@ TEST(LadderQueue, FifoAmongEqualKeys) {
   }
 }
 
-// Heap and ladder driven through one random schedule/pop workload must pop
-// in identical order — the property the scheduler's backend switch (and the
-// bit-identical replication guarantee) rests on.
+// A QuadHeap and a LadderQueue fed the same pushes: every pop must take the
+// same entry from both, which is what keeps the scheduler's event order
+// (and every result built on it) independent of the ladder's buckets.
+struct Lockstep {
+  QuadHeap<Keyed, KeyedBefore> heap;
+  KeyedLadder ladder;
+  std::uint64_t next_sequence = 0;
+  std::uint64_t pops = 0;
+
+  void push(double key) {
+    const Keyed item{key, next_sequence++};
+    heap.push(item);
+    ladder.push(item);
+  }
+  /// Pops the earliest entry of both queues into `top`; false if the
+  /// queues' sizes or the two entries differ.
+  bool pop(Keyed& top) {
+    if (ladder.size() != heap.size()) return false;
+    top = heap.pop_top();
+    const Keyed other = ladder.pop_top();
+    ++pops;
+    return other.key == top.key && other.sequence == top.sequence;
+  }
+  /// Pops both queues empty; false at the first disagreement.
+  bool drain() {
+    Keyed top;
+    while (!heap.empty()) {
+      if (!pop(top)) return false;
+    }
+    return ladder.empty();
+  }
+};
+
 TEST(LadderQueue, CrossCheckAgainstQuadHeapOnRandomWorkload) {
   std::mt19937_64 gen(0xBADC0DE);
   std::uniform_real_distribution<double> time_dist(0.0, 64.0);
   std::uniform_int_distribution<int> op_dist(0, 99);
   std::uniform_int_distribution<int> burst_dist(1, 24);
 
-  QuadHeap<Keyed, KeyedBefore> heap;
-  KeyedLadder ladder;
-  std::uint64_t next_sequence = 0;
+  Lockstep queues;
   double now = 0.0;  // scheduler-like: pushes never go below the pop frontier
-
   for (int step = 0; step < 30000; ++step) {
-    if (heap.empty() || op_dist(gen) < 55) {
+    if (queues.heap.empty() || op_dist(gen) < 55) {
       const int burst = burst_dist(gen);
+      for (int i = 0; i < burst; ++i) queues.push(now + time_dist(gen));
+    } else {
+      Keyed top;
+      ASSERT_TRUE(queues.pop(top)) << "step " << step;
+      now = top.key;
+    }
+  }
+  EXPECT_TRUE(queues.drain());
+}
+
+// The queue traffic of the paper's Fig. 4 node-failure runs at n = 2*10^4:
+// one failure toggle pending per node, far in the future and pushed again
+// each time it fires, under bursts of near-term MAC and PHY events. Half
+// the bursts share one time, and some land exactly at the pop frontier.
+TEST(LadderQueue, CrossCheckAgainstQuadHeapOnFig4FailureChurn) {
+  constexpr int kToggles = 20000;
+  constexpr double kToggleMeanS = 9.0;
+  constexpr std::uint64_t kPops = 120000;
+  std::mt19937_64 gen(0xF164);
+  std::exponential_distribution<double> toggle_lead(1.0 / kToggleMeanS);
+  std::uniform_real_distribution<double> burst_lead(0.0, 1e-3);
+  std::uniform_int_distribution<int> percent(0, 99);
+  std::uniform_int_distribution<int> burst_dist(1, 4);
+
+  Lockstep queues;
+  std::vector<bool> is_toggle;  // by sequence number
+  const auto push = [&](double t, bool toggle) {
+    is_toggle.push_back(toggle);
+    queues.push(t);
+  };
+  double now = 0.0;
+  for (int i = 0; i < kToggles; ++i) push(toggle_lead(gen), true);
+  while (queues.pops < kPops) {
+    if (percent(gen) < 20) {
+      const int burst = burst_dist(gen);
+      const bool shared_time = percent(gen) < 50;
+      double t = percent(gen) < 10 ? now : now + burst_lead(gen);
       for (int i = 0; i < burst; ++i) {
-        const Keyed item{now + time_dist(gen), next_sequence++};
-        heap.push(item);
-        ladder.push(item);
+        if (i > 0 && !shared_time) t = now + burst_lead(gen);
+        push(t, false);
       }
     } else {
-      ASSERT_FALSE(ladder.empty());
-      const Keyed a = heap.pop_top();
-      const Keyed b = ladder.pop_top();
-      ASSERT_EQ(a.key, b.key) << "step " << step;
-      ASSERT_EQ(a.sequence, b.sequence) << "step " << step;
-      now = a.key;
+      Keyed top;
+      ASSERT_TRUE(queues.pop(top)) << "pop " << queues.pops;
+      now = top.key;
+      if (is_toggle[top.sequence]) push(now + toggle_lead(gen), true);
     }
   }
-  while (!heap.empty()) {
-    ASSERT_FALSE(ladder.empty());
-    ASSERT_EQ(heap.pop_top().sequence, ladder.pop_top().sequence);
-  }
-  EXPECT_TRUE(ladder.empty());
-}
-
-// Same-timestamp FIFO across the full Scheduler under cancel/reschedule
-// churn on the ladder backend (mirrors the QuadHeapScheduler test).
-TEST(LadderScheduler, SameTimestampFifoUnderChurn) {
-  Scheduler sched(QueueBackend::Ladder);
-  std::vector<int> order;
-  std::vector<EventId> cancelled;
-  constexpr Time kT = 1.0;
-  int expected_rank = 0;
-  for (int round = 0; round < 50; ++round) {
-    cancelled.push_back(sched.schedule_at(kT, [&]() { ADD_FAILURE(); }));
-    const int rank = expected_rank++;
-    sched.schedule_at(kT, [&order, rank]() { order.push_back(rank); });
-    cancelled.push_back(sched.schedule_at(kT, [&]() { ADD_FAILURE(); }));
-  }
-  for (EventId id : cancelled) EXPECT_TRUE(sched.cancel(id));
-  for (int round = 0; round < 50; ++round) {
-    const int rank = expected_rank++;
-    sched.schedule_at(kT, [&order, rank]() { order.push_back(rank); });
-  }
-  sched.run();
-  ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
-}
-
-// Both scheduler backends run the same randomized schedule/cancel workload
-// and must execute callbacks in exactly the same order.
-TEST(LadderScheduler, BackendsExecuteIdenticalOrderUnderChurn) {
-  const auto run_backend = [](QueueBackend backend) {
-    Scheduler sched(backend);
-    Rng rng(77);
-    std::vector<std::uint64_t> order;
-    std::vector<EventId> ids;
-    for (int round = 0; round < 40; ++round) {
-      for (std::uint64_t i = 0; i < 200; ++i) {
-        const std::uint64_t tag = round * 1000 + i;
-        ids.push_back(
-            sched.schedule_in(rng.uniform01() * 4.0,
-                              [&order, tag]() { order.push_back(tag); }));
-      }
-      for (std::size_t i = 0; i < ids.size(); i += 3) sched.cancel(ids[i]);
-      ids.clear();
-      sched.run_until(sched.now() + 1.0);
-    }
-    sched.run();
-    return order;
-  };
-  const std::vector<std::uint64_t> heap_order = run_backend(QueueBackend::Heap);
-  const std::vector<std::uint64_t> ladder_order =
-      run_backend(QueueBackend::Ladder);
-  ASSERT_EQ(heap_order.size(), ladder_order.size());
-  EXPECT_EQ(heap_order, ladder_order);
-}
-
-// The serial==ladder determinism gate: a full fig3-style scenario produces
-// bit-identical metric snapshots on both queue backends. Any divergence
-// means the ladder broke the strict (time, sequence) total order.
-TEST(LadderScheduler, ScenarioBitIdenticalAcrossBackends) {
-  sim::ScenarioConfig config;
-  config.seed = 11;
-  config.nodes = 30;
-  config.width_m = 600.0;
-  config.height_m = 600.0;
-  config.range_m = 250.0;
-  config.protocol = sim::ProtocolKind::Routeless;
-  config.pairs = 2;
-  config.cbr_interval = 1.0;
-  config.payload_bytes = 128;
-  config.traffic_start = 1.0;
-  config.traffic_stop = 8.0;
-  config.sim_end = 15.0;
-
-  config.scheduler_queue = QueueBackend::Heap;
-  const sim::ScenarioResult serial = sim::run_scenario(config);
-  config.scheduler_queue = QueueBackend::Ladder;
-  const sim::ScenarioResult ladder = sim::run_scenario(config);
-
-  EXPECT_EQ(serial.events_executed, ladder.events_executed);
-  EXPECT_EQ(serial.delivered, ladder.delivered);
-  const std::vector<obs::Metric> ss = serial.metrics.snapshot();
-  const std::vector<obs::Metric> ls = ladder.metrics.snapshot();
-  ASSERT_EQ(ss.size(), ls.size());
-  for (std::size_t i = 0; i < ss.size(); ++i) {
-    EXPECT_EQ(ss[i].name, ls[i].name);
-    EXPECT_EQ(ss[i].value, ls[i].value) << ss[i].name;
-  }
+  EXPECT_GE(queues.ladder.high_water(), std::size_t{kToggles});
+  EXPECT_TRUE(queues.drain());
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "des/scheduler.hpp"
 #include "mac/frame.hpp"
 #include "mac/priority_queue.hpp"
 
@@ -99,33 +98,6 @@ TEST(QuadHeap, FifoAmongEqualKeys) {
   for (std::uint64_t i = 0; i < 100; ++i) {
     EXPECT_EQ(heap.pop_top().sequence, i);
   }
-}
-
-// Same-timestamp FIFO across the full Scheduler under cancel/reschedule
-// churn, now running on the 4-ary heap: cancelled events must not disturb
-// the insertion order of survivors at the same timestamp.
-TEST(QuadHeapScheduler, SameTimestampFifoUnderChurn) {
-  Scheduler sched;
-  std::vector<int> order;
-  std::vector<EventId> cancelled;
-  constexpr Time kT = 1.0;
-  int expected_rank = 0;
-  for (int round = 0; round < 50; ++round) {
-    // Two doomed events bracketing each survivor, cancelled below.
-    cancelled.push_back(sched.schedule_at(kT, [&]() { ADD_FAILURE(); }));
-    const int rank = expected_rank++;
-    sched.schedule_at(kT, [&order, rank]() { order.push_back(rank); });
-    cancelled.push_back(sched.schedule_at(kT, [&]() { ADD_FAILURE(); }));
-  }
-  for (EventId id : cancelled) EXPECT_TRUE(sched.cancel(id));
-  // Reschedule more survivors at the same instant after the churn.
-  for (int round = 0; round < 50; ++round) {
-    const int rank = expected_rank++;
-    sched.schedule_at(kT, [&order, rank]() { order.push_back(rank); });
-  }
-  sched.run();
-  ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
 }
 
 // mac::TxQueue shares the tie-break discipline: FIFO among equal

@@ -155,6 +155,32 @@ TEST(Scheduler, ManyInterleavedScheduleCancels) {
   EXPECT_EQ(fired, 500);
 }
 
+// Same-timestamp FIFO under cancel/reschedule churn: cancelled events must
+// not disturb the insertion order of survivors at the same timestamp.
+TEST(Scheduler, SameTimestampFifoUnderChurn) {
+  Scheduler sched;
+  std::vector<int> order;
+  std::vector<EventId> cancelled;
+  constexpr Time kT = 1.0;
+  int expected_rank = 0;
+  for (int round = 0; round < 50; ++round) {
+    // Two doomed events bracketing each survivor, cancelled below.
+    cancelled.push_back(sched.schedule_at(kT, [&]() { ADD_FAILURE(); }));
+    const int rank = expected_rank++;
+    sched.schedule_at(kT, [&order, rank]() { order.push_back(rank); });
+    cancelled.push_back(sched.schedule_at(kT, [&]() { ADD_FAILURE(); }));
+  }
+  for (EventId id : cancelled) EXPECT_TRUE(sched.cancel(id));
+  // Reschedule more survivors at the same instant after the churn.
+  for (int round = 0; round < 50; ++round) {
+    const int rank = expected_rank++;
+    sched.schedule_at(kT, [&order, rank]() { order.push_back(rank); });
+  }
+  sched.run();
+  ASSERT_EQ(order.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
+}
+
 // --- Inline hand-off (run_next_inline) -----------------------------------
 
 // A self-re-arming chain shaped like phy::Channel's walker: each link logs

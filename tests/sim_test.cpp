@@ -1,5 +1,6 @@
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -192,6 +193,50 @@ TEST(SimInstance, InlineHandOffMatchesBareStepOracle) {
       if (name == obs::metric::kDesEventsInline) inlined = value;
     }
     EXPECT_GT(inlined, fused.events / 2);
+  }
+}
+
+// A contract violation inside a handler reaches the caller with the sim
+// time it fired at and the events executed by then, the failing one
+// included.
+TEST(SimInstance, HandlerFailureNamesSimTimeAndEventsExecuted) {
+  ScenarioConfig config = small_scenario(ProtocolKind::Routeless);
+  config.traffic_start = 0.1;  // so that other events run first
+  SimInstance sim(config);
+  sim.scheduler().schedule_at(0.5, []() {
+    const int budget = 0;
+    RRNET_EXPECTS(budget > 0);
+  });
+  std::string message;
+  EXPECT_THROW(
+      {
+        try {
+          sim.run();
+        } catch (const ContractViolation& e) {
+          message = e.what();
+          throw;
+        }
+      },
+      ContractViolation);
+  const std::uint64_t executed = sim.scheduler().executed_count();
+  EXPECT_GT(executed, 1u);
+  EXPECT_NE(message.find("precondition failed: budget > 0"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("(at sim time 0.5 s, events executed: " +
+                         std::to_string(executed) + ")"),
+            std::string::npos)
+      << message;
+}
+
+TEST(SimInstance, OtherHandlerExceptionsPassThroughUnchanged) {
+  SimInstance sim(small_scenario(ProtocolKind::Routeless));
+  sim.scheduler().schedule_at(0.5, []() { throw std::runtime_error("boom"); });
+  try {
+    sim.run();
+    ADD_FAILURE() << "run() returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
   }
 }
 
