@@ -1,8 +1,7 @@
 // Engine benchmark suite with machine-readable output.
 //
-// Unlike the google-benchmark binary (micro_engine), this driver owns its
-// timing loop so it can interpose the global allocator and report
-// allocations/event alongside events/sec and ns/event. It emits
+// The suite owns its timing loop so it can interpose the global allocator
+// and report allocations/event alongside events/sec and ns/event. It emits
 // BENCH_engine.json so successive PRs can be gated on the perf trajectory
 // (see bench_results/ for checked-in baselines).
 //
@@ -63,10 +62,17 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: once inlined into a caller, GCC pairs the free() with
+// the caller's new-expression and reports -Wmismatched-new-delete, although
+// the operator new replacements above allocate with malloc.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {

@@ -15,10 +15,11 @@ benchmark regresses beyond the tolerance band:
 
 Scenario benchmarks additionally carry a "counters" object of deterministic
 per-layer counters (drops, retries, control tx, ...). Counters present on
-BOTH sides must agree within COUNTER_TOLERANCE (relative): a behaviour
-change — say a retry storm from a broken backoff — is a regression even if
-the run is not slower. Counters on only one side are ignored, so older
-baselines without counters still gate on time/allocations alone.
+BOTH sides must match exactly: every change keeps the simulation's outputs
+bit-identical or re-pins them, so any difference is a behaviour change —
+say a retry storm from a broken backoff — even if the run is not slower.
+Counters on only one side are ignored, so older baselines without counters
+still gate on time/allocations alone.
 
 Benchmarks present on only one side are reported but never fail the gate,
 so adding a benchmark does not require lockstep baseline updates.
@@ -39,7 +40,6 @@ TIME_TOLERANCE = 0.35     # +35% ns/event before we call it a regression
 # is pooled/flattened, so every scenario entry sits below 0.005 and a wider
 # band could hide a multi-x jump.
 ALLOC_TOLERANCE = 0.01
-COUNTER_TOLERANCE = 0.10  # +/-10% relative drift per behaviour counter
 REQUIRED_COUNTERS = ("phy.tx_dropped_busy",)
 
 
@@ -117,12 +117,10 @@ def main(argv):
                     )
         for key in sorted(set(base_counters) & set(got_counters)):
             b, g = base_counters[key], got_counters[key]
-            band = max(abs(b) * COUNTER_TOLERANCE, 1.0)
-            if abs(g - b) > band:
+            if g != b:
                 verdict = "REGRESSION(counter)"
                 failures.append(
-                    f"{name}: counter {key} = {g} drifted from baseline "
-                    f"{b} (band +/-{band:.1f})"
+                    f"{name}: counter {key} = {g} differs from baseline {b}"
                 )
         print(
             f"  [{verdict:>17}] {name}: {got_ns:8.1f} ns/ev "

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: plain build + tests, the perfbench seed-1 pins and
-# perfbench's own unit tests, then the same suite under ASan/UBSan (second
-# build dir, registered as the "sanitize" configuration), a JSON export
-# smoke, and the threaded tests under TSan (third build dir).
+# Tier-1 verification: plain build (warnings are errors) + tests, every
+# checked-in result file reproduced byte for byte, the perfbench seed-1 pins
+# and perfbench's own unit tests, then the same suite under ASan/UBSan
+# (second build dir, registered as the "sanitize" configuration), a JSON
+# export smoke, and the threaded tests under TSan (third build dir).
 #
 # Usage: scripts/verify.sh [--with-bench] [--large-n-smoke]
 #   --with-bench     additionally run the engine benchmark suite and refresh
@@ -38,10 +39,43 @@ find src -name '*.hpp' -print0 | sort -z | \
     -include {} -x c++ /dev/null || {
       echo "header self-containment check failed" >&2; exit 1; }
 
-echo "== plain build + ctest =="
-cmake -B build -S . >/dev/null
+# Temporary space for the bench output, the reproduced results and the
+# exported run report; removed on exit.
+WORK="$(mktemp -d /tmp/rrnet_verify.XXXXXX)"
+trap 'rm -rf "$WORK"' EXIT
+
+echo "== plain build (-Werror) + ctest =="
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+echo "== result files reproduce =="
+# Every checked-in figure and ablation CSV, and the Fig. 2 congestion maps,
+# must come out of the current binaries byte for byte. abl_large_n is left
+# out: its CSV carries wall-clock and RSS columns. The binaries write into
+# their working directory, so they run in a temporary one.
+REPRO_DIR="$WORK/repro"
+mkdir -p "$REPRO_DIR"
+run_in_repro() {
+  local name="$1" binary="$2"
+  if ! (cd "$REPRO_DIR" && "$binary" >"$name.log" 2>&1); then
+    cat "$REPRO_DIR/$name.log" >&2
+    echo "$name failed" >&2; exit 1
+  fi
+}
+for csv in bench_results/*.csv; do
+  name="$(basename "$csv" .csv)"
+  [[ "$name" == abl_large_n ]] && continue
+  run_in_repro "$name" "$PWD/build/bench/$name"
+done
+run_in_repro congestion_map "$PWD/build/examples/congestion_map"
+for expected in bench_results/*.csv bench_results/*.pgm; do
+  name="$(basename "$expected")"
+  [[ "$name" == abl_large_n.csv ]] && continue
+  cmp "$expected" "$REPRO_DIR/$name" || {
+    echo "$name no longer reproduces $expected" >&2; exit 1; }
+done
+echo "result files reproduce byte for byte"
 
 echo "== perfbench pins (seed 1, traced) =="
 # Bit-identity on the benchmark workloads: run.py checks every simulation
@@ -70,9 +104,7 @@ grep -q "RRNET_TRACE:BOOL=OFF" build/CMakeCache.txt || {
   echo "bench gate requires RRNET_TRACE=OFF in build/ (reconfigure)" >&2
   exit 1
 }
-FRESH_BENCH="$(mktemp /tmp/rrnet_bench.XXXXXX.json)"
-EXPORT_DIR="$(mktemp -d /tmp/rrnet_profiled.XXXXXX)"
-trap 'rm -f "$FRESH_BENCH"; rm -rf "$EXPORT_DIR"' EXIT
+FRESH_BENCH="$WORK/bench.json"
 taskset -c 0 ./build/bench/run_bench_suite "$FRESH_BENCH"
 python3 scripts/check_bench.py "$FRESH_BENCH"
 
@@ -99,9 +131,9 @@ echo "== profiled run export (report.json + trace.json) =="
 # real packet-lifecycle and handler-span records; both artifacts must be
 # valid JSON.
 ./build-sanitize/bench/run_profiled --scenario fig1 --sim-end 6 \
-  --report "$EXPORT_DIR/report.json" --trace "$EXPORT_DIR/trace.json"
-python3 -m json.tool "$EXPORT_DIR/report.json" >/dev/null
-python3 -m json.tool "$EXPORT_DIR/trace.json" >/dev/null
+  --report "$WORK/report.json" --trace "$WORK/trace.json"
+python3 -m json.tool "$WORK/report.json" >/dev/null
+python3 -m json.tool "$WORK/trace.json" >/dev/null
 
 echo "== tsan build (thread) + threaded tests =="
 # ThreadSanitizer cannot be combined with ASan/UBSan, so the one thread

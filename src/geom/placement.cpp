@@ -1,11 +1,5 @@
 #include "geom/placement.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
-
-#include "util/contracts.hpp"
-
 namespace rrnet::geom {
 
 std::vector<Vec2> place_uniform(const Terrain& terrain, std::size_t n,
@@ -15,97 +9,6 @@ std::vector<Vec2> place_uniform(const Terrain& terrain, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     points.push_back(
         {rng.uniform(0.0, terrain.width()), rng.uniform(0.0, terrain.height())});
-  }
-  return points;
-}
-
-std::vector<Vec2> place_grid(const Terrain& terrain, std::size_t n) {
-  RRNET_EXPECTS(n > 0);
-  const auto cols = static_cast<std::size_t>(std::ceil(std::sqrt(
-      static_cast<double>(n) * terrain.width() / terrain.height())));
-  const std::size_t rows = (n + cols - 1) / cols;
-  const double dx = terrain.width() / static_cast<double>(cols);
-  const double dy = terrain.height() / static_cast<double>(rows);
-  std::vector<Vec2> points;
-  points.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t r = i / cols;
-    const std::size_t c = i % cols;
-    points.push_back({(static_cast<double>(c) + 0.5) * dx,
-                      (static_cast<double>(r) + 0.5) * dy});
-  }
-  return points;
-}
-
-std::vector<Vec2> place_min_separation(const Terrain& terrain, std::size_t n,
-                                       double min_separation, des::Rng& rng,
-                                       std::size_t max_attempts) {
-  RRNET_EXPECTS(min_separation >= 0.0);
-  const double min_sq = min_separation * min_separation;
-  std::vector<Vec2> points;
-  points.reserve(n);
-  // Bucket accepted points into a grid with cell width >= min_separation so
-  // a candidate only needs its 3x3 neighborhood checked. The accept/reject
-  // predicate ("any prior point closer than min_separation") is unchanged,
-  // so RNG consumption — and therefore the returned points — are bitwise
-  // identical to the quadratic scan this replaces.
-  const std::size_t axis_cap = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(std::sqrt(static_cast<double>(n)))));
-  const auto axis_cells = [&](double extent) {
-    std::size_t cells = axis_cap;
-    if (min_separation > 0.0) {
-      const double fit = std::floor(extent / min_separation);
-      if (fit < static_cast<double>(cells)) {
-        cells = std::max<std::size_t>(1, static_cast<std::size_t>(fit));
-      }
-    }
-    return cells;
-  };
-  const std::size_t cols = axis_cells(terrain.width());
-  const std::size_t rows = axis_cells(terrain.height());
-  const double inv_cell_w = static_cast<double>(cols) / terrain.width();
-  const double inv_cell_h = static_cast<double>(rows) / terrain.height();
-  const auto col_of = [&](double x) {
-    return std::min(cols - 1, static_cast<std::size_t>(
-                                  std::max(0.0, x) * inv_cell_w));
-  };
-  const auto row_of = [&](double y) {
-    return std::min(rows - 1, static_cast<std::size_t>(
-                                  std::max(0.0, y) * inv_cell_h));
-  };
-  std::vector<std::int32_t> head(cols * rows, -1);
-  std::vector<std::int32_t> next(n, -1);
-  const auto too_close = [&](Vec2 candidate) {
-    const std::size_t col = col_of(candidate.x);
-    const std::size_t row = row_of(candidate.y);
-    const std::size_t col_lo = col > 0 ? col - 1 : 0;
-    const std::size_t col_hi = std::min(cols - 1, col + 1);
-    const std::size_t row_lo = row > 0 ? row - 1 : 0;
-    const std::size_t row_hi = std::min(rows - 1, row + 1);
-    for (std::size_t r = row_lo; r <= row_hi; ++r) {
-      for (std::size_t c = col_lo; c <= col_hi; ++c) {
-        for (std::int32_t j = head[r * cols + c]; j >= 0; j = next[j]) {
-          if (distance_sq(candidate, points[static_cast<std::size_t>(j)]) <
-              min_sq) {
-            return true;
-          }
-        }
-      }
-    }
-    return false;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    Vec2 candidate{};
-    bool placed = false;
-    for (std::size_t attempt = 0; attempt < max_attempts && !placed; ++attempt) {
-      candidate = {rng.uniform(0.0, terrain.width()),
-                   rng.uniform(0.0, terrain.height())};
-      placed = !too_close(candidate);
-    }
-    points.push_back(candidate);  // last candidate even if crowded
-    const std::size_t cell = row_of(candidate.y) * cols + col_of(candidate.x);
-    next[i] = head[cell];
-    head[cell] = static_cast<std::int32_t>(i);
   }
   return points;
 }

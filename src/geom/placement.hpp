@@ -1,4 +1,4 @@
-// Node placement strategies over a terrain.
+// Node placement over a terrain.
 #pragma once
 
 #include <cstddef>
@@ -12,19 +12,5 @@ namespace rrnet::geom {
 /// n points i.i.d. uniform over the terrain (the paper's layout).
 [[nodiscard]] std::vector<Vec2> place_uniform(const Terrain& terrain,
                                               std::size_t n, des::Rng& rng);
-
-/// Regular grid, row-major, padded half a cell from the edges. If n is not a
-/// perfect rectangle count, the last row is partially filled.
-[[nodiscard]] std::vector<Vec2> place_grid(const Terrain& terrain,
-                                           std::size_t n);
-
-/// Uniform placement with a minimum pairwise separation (dart throwing).
-/// Falls back to plain uniform placement for points that cannot be separated
-/// after `max_attempts` tries, so it always returns exactly n points.
-[[nodiscard]] std::vector<Vec2> place_min_separation(const Terrain& terrain,
-                                                     std::size_t n,
-                                                     double min_separation,
-                                                     des::Rng& rng,
-                                                     std::size_t max_attempts = 64);
 
 }  // namespace rrnet::geom

@@ -113,7 +113,6 @@ class CsmaMac final : public phy::RadioListener, public util::PoolAllocated {
   void transmit_data_now();
   void send_rts();
   void send_cts(const Frame& rts);
-  void handle_rts_cts_response(const Frame& frame);
   void observe_nav(const Frame& frame, des::Time frame_end);
   [[nodiscard]] bool nav_blocked() const noexcept;
   [[nodiscard]] bool uses_rts(const Frame& frame) const noexcept;

@@ -113,18 +113,6 @@ bool is_drop(EventKind kind) noexcept {
   return kind == EventKind::PhyDrop || kind == EventKind::MacDrop;
 }
 
-void append_jsonl_record(std::ostream& os, const TraceRecord& r) {
-  const auto kind = static_cast<EventKind>(r.kind);
-  os << "{\"t\":" << r.time << ",\"kind\":\"" << to_string(kind) << "\"";
-  if (r.node != kNoTraceNode) os << ",\"node\":" << r.node;
-  os << ",\"id\":" << r.id << ",\"arg\":" << r.arg;
-  if (is_drop(kind)) {
-    os << ",\"reason\":\"" << to_string(static_cast<DropReason>(r.arg))
-       << "\"";
-  }
-  os << "}\n";
-}
-
 void append_chrome_preamble(std::ostream& os) {
   os << "{\"traceEvents\":[\n";
   os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
@@ -157,22 +145,11 @@ void append_chrome_record(std::ostream& os, const TraceRecord& r) {
 
 }  // namespace
 
-bool EventTracer::export_jsonl(std::ostream& os) const {
-  for_each_ordered([&](const TraceRecord& r) { append_jsonl_record(os, r); });
-  return static_cast<bool>(os);
-}
-
 bool EventTracer::export_chrome_trace(std::ostream& os) const {
   append_chrome_preamble(os);
   for_each_ordered([&](const TraceRecord& r) { append_chrome_record(os, r); });
   os << "\n]}\n";
   return static_cast<bool>(os);
-}
-
-bool EventTracer::export_jsonl_file(const std::string& path) const {
-  std::ofstream os(path);
-  if (!os) return false;
-  return export_jsonl(os);
 }
 
 bool EventTracer::export_chrome_trace_file(const std::string& path) const {

@@ -16,11 +16,11 @@
 //
 // The ring is preallocated; record() never allocates (hot-path safe). When
 // full it wraps, keeping the most recent records and counting the
-// overwritten ones. Exporters emit JSONL (one record per line) and the
-// Chrome trace-event format — the produced file loads directly in Perfetto
-// (ui.perfetto.dev) or chrome://tracing: packet events are instants on
-// pid 0 with tid = node id, and scheduler handler spans are duration events
-// on pid 1 (ts = simulated microseconds, dur = handler wall-clock time).
+// overwritten ones. The exporter emits the Chrome trace-event format — the
+// produced file loads directly in Perfetto (ui.perfetto.dev) or
+// chrome://tracing: packet events are instants on pid 0 with tid = node id,
+// and scheduler handler spans are duration events on pid 1 (ts = simulated
+// microseconds, dur = handler wall-clock time).
 #pragma once
 
 #include <cstddef>
@@ -104,12 +104,10 @@ class EventTracer {
   /// Held records, oldest first.
   [[nodiscard]] std::vector<TraceRecord> snapshot() const;
 
-  /// One JSON object per line. Returns false on stream failure.
-  bool export_jsonl(std::ostream& os) const;
   /// Chrome trace-event JSON ({"traceEvents": [...]}); loads in Perfetto.
+  /// Returns false on stream failure.
   bool export_chrome_trace(std::ostream& os) const;
-  /// File helpers; false when the file cannot be written.
-  bool export_jsonl_file(const std::string& path) const;
+  /// File helper; false when the file cannot be written.
   bool export_chrome_trace_file(const std::string& path) const;
 
  private:

@@ -24,48 +24,20 @@ void for_each_object_pool(Fn&& fn) {
   }
 }
 
-}  // namespace
-
-std::unique_ptr<phy::PropagationModel> SimInstance::make_propagation(
-    const ScenarioConfig& config) {
-  const double f = config.radio.frequency_hz;
-  switch (config.propagation) {
-    case PropagationKind::FreeSpace:
-      return std::make_unique<phy::FreeSpace>(f);
-    case PropagationKind::TwoRay:
-      return std::make_unique<phy::TwoRayGround>(f);
-    case PropagationKind::LogDistance:
-      return std::make_unique<phy::LogDistance>(config.pathloss_exponent, 1.0, f);
-    case PropagationKind::Rayleigh:
-      return std::make_unique<phy::RayleighFading>(
-          std::make_unique<phy::FreeSpace>(f));
-    case PropagationKind::Shadowing:
-      return std::make_unique<phy::LogNormalShadowing>(
-          std::make_unique<phy::FreeSpace>(f), config.shadowing_sigma_db);
-  }
-  return std::make_unique<phy::FreeSpace>(f);
-}
-
-void SimInstance::attach_protocol(const ScenarioConfig& config,
-                                  net::Node& node) {
+/// Attach the configured protocol type to one node.
+void attach_protocol(const ScenarioConfig& config, net::Node& node) {
   switch (config.protocol) {
     case ProtocolKind::Counter1Flooding:
-      node.set_protocol(proto::make_counter1_flooding(node, config.flood_lambda,
-                                                      config.flood_ttl));
+      node.set_protocol(proto::make_counter1_flooding(node));
       return;
-    case ProtocolKind::Ssaf: {
-      proto::SsafConfig sc = config.ssaf;
-      sc.ttl = config.flood_ttl;
-      node.set_protocol(proto::make_ssaf(node, sc));
+    case ProtocolKind::Ssaf:
+      node.set_protocol(proto::make_ssaf(node, config.ssaf));
       return;
-    }
     case ProtocolKind::BlindFlooding: {
       proto::FloodingConfig fc;
-      fc.lambda = config.flood_lambda;
-      fc.ttl = config.flood_ttl;
       fc.blind = true;
       node.set_protocol(std::make_unique<proto::FloodingProtocol>(
-          node, fc, std::make_unique<core::UniformBackoff>(config.flood_lambda)));
+          node, fc, std::make_unique<core::UniformBackoff>(fc.lambda)));
       return;
     }
     case ProtocolKind::Routeless:
@@ -92,8 +64,12 @@ void SimInstance::attach_protocol(const ScenarioConfig& config,
   RRNET_ASSERT(false);
 }
 
-void SimInstance::reserve_node_pools(const ScenarioConfig& config,
-                                     std::size_t nodes) {
+/// Pre-carve the calling thread's size-class pools for `nodes` node
+/// stacks (node + transceiver + MAC + the configured protocol), so
+/// large-n construction is a handful of arena carves instead of O(n)
+/// pool-exhaustion heap fallbacks. Only the shortfall beyond what the
+/// thread's pools already hold is carved — small runs are untouched.
+void reserve_node_pools(const ScenarioConfig& config, std::size_t nodes) {
   if (nodes == 0) return;
   // One entry per size class: distinct types can share a class, so counts
   // accumulate before any pool is grown.
@@ -136,6 +112,28 @@ void SimInstance::reserve_node_pools(const ScenarioConfig& config,
     util::PayloadPool& pool = util::sized_pool(rounded);
     pool.ensure_capacity(pool.in_use() + need[i], rounded);
   }
+}
+
+}  // namespace
+
+std::unique_ptr<phy::PropagationModel> SimInstance::make_propagation(
+    const ScenarioConfig& config) {
+  const double f = config.radio.frequency_hz;
+  switch (config.propagation) {
+    case PropagationKind::FreeSpace:
+      return std::make_unique<phy::FreeSpace>(f);
+    case PropagationKind::TwoRay:
+      return std::make_unique<phy::TwoRayGround>(f);
+    case PropagationKind::LogDistance:
+      return std::make_unique<phy::LogDistance>(config.pathloss_exponent, 1.0, f);
+    case PropagationKind::Rayleigh:
+      return std::make_unique<phy::RayleighFading>(
+          std::make_unique<phy::FreeSpace>(f));
+    case PropagationKind::Shadowing:
+      return std::make_unique<phy::LogNormalShadowing>(
+          std::make_unique<phy::FreeSpace>(f), config.shadowing_sigma_db);
+  }
+  return std::make_unique<phy::FreeSpace>(f);
 }
 
 SimInstance::SimInstance(const ScenarioConfig& config)

@@ -54,15 +54,6 @@ class SimInstance {
   /// Build the propagation model a config describes (also used by tests).
   [[nodiscard]] static std::unique_ptr<phy::PropagationModel>
   make_propagation(const ScenarioConfig& config);
-  /// Attach the configured protocol type to one node.
-  static void attach_protocol(const ScenarioConfig& config, net::Node& node);
-  /// Pre-carve the calling thread's size-class pools for `nodes` node
-  /// stacks (node + transceiver + MAC + the configured protocol), so
-  /// large-n construction is a handful of arena carves instead of O(n)
-  /// pool-exhaustion heap fallbacks. Only the shortfall beyond what the
-  /// thread's pools already hold is carved — small runs are untouched.
-  static void reserve_node_pools(const ScenarioConfig& config,
-                                 std::size_t nodes);
 
  private:
   ScenarioConfig config_;

@@ -79,8 +79,6 @@ struct ScenarioConfig {
   proto::GradientConfig gradient{};
   proto::DsdvConfig dsdv{};
   proto::DsrConfig dsr{};
-  des::Time flood_lambda = 10e-3;  ///< counter-1 / blind flooding backoff
-  std::uint8_t flood_ttl = 32;
 
   // Traffic.
   std::size_t pairs = 1;
@@ -109,9 +107,9 @@ struct ScenarioConfig {
   bool trace_paths = false;  ///< record per-packet relay paths (Figure 2)
 
   /// Record packet-lifecycle / election / scheduler events into an
-  /// obs::EventTracer ring owned by the SimInstance (exportable as JSONL or
-  /// a Chrome trace). Needs a build with -DRRNET_TRACE=ON to capture the
-  /// hot-path events; a compiled-out build runs but records nothing.
+  /// obs::EventTracer ring owned by the SimInstance (exportable as a Chrome
+  /// trace). Needs a build with -DRRNET_TRACE=ON to capture the hot-path
+  /// events; a compiled-out build runs but records nothing.
   bool trace_events = false;
   std::size_t trace_capacity = 1u << 20;  ///< ring size, in records
 

@@ -31,13 +31,6 @@ const std::vector<std::uint32_t>& Topology::neighbors(
   return adjacency_[node];
 }
 
-double Topology::average_degree() const noexcept {
-  if (adjacency_.empty()) return 0.0;
-  std::size_t edges2 = 0;
-  for (const auto& list : adjacency_) edges2 += list.size();
-  return static_cast<double>(edges2) / static_cast<double>(adjacency_.size());
-}
-
 int Topology::hop_distance(std::uint32_t from, std::uint32_t to) const {
   RRNET_EXPECTS(from < adjacency_.size());
   RRNET_EXPECTS(to < adjacency_.size());

@@ -22,7 +22,6 @@ class Topology {
   }
   [[nodiscard]] const std::vector<std::uint32_t>& neighbors(
       std::uint32_t node) const;
-  [[nodiscard]] double average_degree() const noexcept;
 
   /// BFS hop distance; -1 if unreachable.
   [[nodiscard]] int hop_distance(std::uint32_t from, std::uint32_t to) const;

@@ -9,10 +9,10 @@ namespace rrnet::util {
 
 Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
+    const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      throw ContractViolation("unexpected argument '" + arg +
+                              "': expected --key, --key=value or --key value");
     }
     std::string body = arg.substr(2);
     RRNET_EXPECTS(!body.empty() && body[0] != '=');
@@ -69,10 +69,6 @@ bool Flags::get_bool(const std::string& key, bool fallback) const {
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
   throw ContractViolation("flag --" + key + " is not a boolean: " + v);
-}
-
-void Flags::set(const std::string& key, const std::string& value) {
-  values_[key] = value;
 }
 
 }  // namespace rrnet::util

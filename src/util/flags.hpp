@@ -1,20 +1,19 @@
 // Minimal command-line flag parser for bench/example binaries.
 //
 // Accepts --key=value and --key value pairs plus bare --key booleans.
-// Unknown positional arguments are collected in order.
+// Every other token is an error, so a stray value cannot be silently lost.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace rrnet::util {
 
 class Flags {
  public:
-  Flags() = default;
-  /// Parse argv; throws ContractViolation on malformed input (e.g. "--=x").
+  /// Parse argv; throws ContractViolation on malformed input (e.g. "--=x")
+  /// and on a token that is neither a flag nor a flag's value.
   Flags(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(const std::string& key) const;
@@ -26,16 +25,8 @@ class Flags {
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
-  [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
-
-  /// Manually set a value (used by tests and sweep drivers).
-  void set(const std::string& key, const std::string& value);
-
  private:
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace rrnet::util

@@ -34,21 +34,13 @@ struct PoolStats {
   std::uint64_t releases = 0;     ///< chunks returned (either kind)
 };
 
-// Default arena capacity (chunks per pool), overridable per build:
-//   cmake -DCMAKE_CXX_FLAGS=-DRRNET_POOL_ARENA_CAPACITY=1024
-// Every thread-local pool (size classes, payload pools, the PacketBuffer
-// pool) carves kDefaultCapacity chunks on first use, so this knob bounds
-// the per-worker arena footprint of parallel replication (the audit table
-// lives in DESIGN.md, "Memory footprint").
-#ifndef RRNET_POOL_ARENA_CAPACITY
-#define RRNET_POOL_ARENA_CAPACITY 4096
-#endif
-
 class PayloadPool {
  public:
-  static constexpr std::size_t kDefaultCapacity = RRNET_POOL_ARENA_CAPACITY;
-  static_assert(kDefaultCapacity > 0,
-                "RRNET_POOL_ARENA_CAPACITY must be positive");
+  /// Chunks per arena carve. Every thread-local pool (size classes, payload
+  /// pools, the PacketBuffer pool) carves this many on first use, so it
+  /// bounds the per-worker arena footprint of parallel replication (the
+  /// audit table lives in DESIGN.md, "Memory footprint").
+  static constexpr std::size_t kDefaultCapacity = 4096;
 
   /// Chunk payload size is fixed on the first allocate() call.
   explicit PayloadPool(std::size_t capacity = kDefaultCapacity)

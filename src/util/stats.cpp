@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/contracts.hpp"
-
 namespace rrnet::util {
 
 void Accumulator::add(double x) noexcept {
@@ -18,23 +16,6 @@ void Accumulator::add(double x) noexcept {
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
   }
-}
-
-void Accumulator::merge(const Accumulator& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double Accumulator::mean() const noexcept {
@@ -65,60 +46,6 @@ Summary Accumulator::summary() const noexcept {
 double RatioCounter::ratio() const noexcept {
   if (total_ == 0) return std::numeric_limits<double>::quiet_NaN();
   return static_cast<double>(hits_) / static_cast<double>(total_);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  RRNET_EXPECTS(hi > lo);
-  RRNET_EXPECTS(bins > 0);
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  std::size_t i;
-  if (x < lo_) {
-    ++underflow_;
-    i = 0;
-  } else if (x >= hi_) {
-    ++overflow_;
-    i = counts_.size() - 1;
-  } else {
-    i = static_cast<std::size_t>((x - lo_) / width_);
-    i = std::min(i, counts_.size() - 1);
-  }
-  ++counts_[i];
-}
-
-std::uint64_t Histogram::bin_count(std::size_t i) const {
-  RRNET_EXPECTS(i < counts_.size());
-  return counts_[i];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  RRNET_EXPECTS(i < counts_.size());
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i) + width_; }
-
-double Histogram::quantile(double q) const {
-  RRNET_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return std::numeric_limits<double>::quiet_NaN();
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(total_));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += counts_[i];
-    if (cum > target) return 0.5 * (bin_lo(i) + bin_hi(i));
-  }
-  return bin_hi(counts_.size() - 1);
-}
-
-Summary summarize(const std::vector<double>& xs) noexcept {
-  Accumulator acc;
-  for (double x : xs) acc.add(x);
-  return acc.summary();
 }
 
 }  // namespace rrnet::util

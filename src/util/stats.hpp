@@ -1,12 +1,10 @@
 // Streaming statistics: Welford accumulators, summaries with confidence
-// intervals, fixed-bin histograms, and simple ratio counters.
+// intervals, and simple ratio counters.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace rrnet::util {
 
@@ -25,9 +23,6 @@ struct Summary {
 class Accumulator {
  public:
   void add(double x) noexcept;
-  /// Merge another accumulator into this one (parallel-reduction friendly).
-  void merge(const Accumulator& other) noexcept;
-  void reset() noexcept { *this = Accumulator{}; }
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] bool empty() const noexcept { return n_ == 0; }
@@ -56,14 +51,6 @@ class RatioCounter {
     ++total_;
     if (success) ++hits_;
   }
-  void add_hits(std::uint64_t hits, std::uint64_t total) noexcept {
-    hits_ += hits;
-    total_ += total;
-  }
-  void merge(const RatioCounter& other) noexcept {
-    hits_ += other.hits_;
-    total_ += other.total_;
-  }
   [[nodiscard]] std::uint64_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
   /// hits/total; NaN when total == 0.
@@ -73,35 +60,5 @@ class RatioCounter {
   std::uint64_t hits_ = 0;
   std::uint64_t total_ = 0;
 };
-
-/// Fixed-width binned histogram over [lo, hi); out-of-range samples are
-/// clamped into the first/last bin and counted separately.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bin_count(std::size_t i) const;
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-  /// Approximate quantile from bin midpoints; q in [0, 1].
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-};
-
-/// Compute a Summary from a raw sample vector (used by sweep aggregation).
-[[nodiscard]] Summary summarize(const std::vector<double>& xs) noexcept;
 
 }  // namespace rrnet::util

@@ -80,33 +80,6 @@ TEST(Placement, UniformCoversAllQuadrants) {
   for (int q = 0; q < 4; ++q) EXPECT_GT(quadrant[q], 50);
 }
 
-TEST(Placement, GridExactAndInside) {
-  const Terrain t(100.0, 100.0);
-  const auto pts = place_grid(t, 9);
-  ASSERT_EQ(pts.size(), 9u);
-  for (const Vec2& p : pts) EXPECT_TRUE(t.contains(p));
-  // All distinct.
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    for (std::size_t j = i + 1; j < pts.size(); ++j) {
-      EXPECT_GT(distance(pts[i], pts[j]), 1.0);
-    }
-  }
-}
-
-TEST(Placement, MinSeparationHonored) {
-  const Terrain t(1000.0, 1000.0);
-  des::Rng rng(7);
-  const auto pts = place_min_separation(t, 50, 60.0, rng);
-  ASSERT_EQ(pts.size(), 50u);
-  int violations = 0;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    for (std::size_t j = i + 1; j < pts.size(); ++j) {
-      if (distance(pts[i], pts[j]) < 60.0) ++violations;
-    }
-  }
-  EXPECT_EQ(violations, 0);
-}
-
 TEST(SpatialGrid, RejectsOutOfTerrainPositions) {
   const Terrain t(100.0, 100.0);
   EXPECT_THROW(SpatialGrid(t, 10.0, {{150.0, 0.0}}), rrnet::ContractViolation);

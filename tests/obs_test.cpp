@@ -126,34 +126,14 @@ TEST(EventTracer, ThreadTracerInstallRestore) {
   EXPECT_EQ(obs::thread_tracer(), before);
 }
 
-TEST(EventTracer, JsonlExportOneObjectPerLine) {
-  obs::EventTracer tracer(8);
-  tracer.set_enabled(true);
-  tracer.record(obs::EventKind::NetSend, 1.5, 3, 42, 0);
-  tracer.record(obs::EventKind::PhyDrop, 2.0, 4, 43,
-                static_cast<std::uint16_t>(obs::DropReason::Collision));
-  std::ostringstream os;
-  ASSERT_TRUE(tracer.export_jsonl(os));
-  const std::string text = os.str();
-  std::istringstream lines(text);
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(lines, line)) {
-    ++n;
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-  }
-  EXPECT_EQ(n, 2u);
-  EXPECT_NE(text.find("\"kind\":\"net_send\""), std::string::npos);
-  EXPECT_NE(text.find("\"reason\":\"collision\""), std::string::npos);
-}
-
 TEST(EventTracer, ChromeExportShapesInstantsAndSpans) {
   obs::EventTracer tracer(8);
   tracer.set_enabled(true);
   tracer.record(obs::EventKind::PhyRxDecoded, 0.25, 7, 99);
   tracer.record(obs::EventKind::HandlerSpan, 0.5, obs::kNoTraceNode,
                 /*wall ns=*/1500);
+  tracer.record(obs::EventKind::PhyDrop, 0.75, 4, 100,
+                static_cast<std::uint16_t>(obs::DropReason::Collision));
   std::ostringstream os;
   ASSERT_TRUE(tracer.export_chrome_trace(os));
   const std::string text = os.str();
@@ -164,6 +144,9 @@ TEST(EventTracer, ChromeExportShapesInstantsAndSpans) {
   EXPECT_NE(text.find("\"ts\":250000"), std::string::npos);
   // Packet instants land on pid 0 with tid = node id.
   EXPECT_NE(text.find("\"tid\":7"), std::string::npos);
+  // A drop's instant is named after its reason.
+  EXPECT_NE(text.find("\"name\":\"phy_drop(collision)\""),
+            std::string::npos);
 }
 
 sim::ScenarioConfig fig3_style_config() {

@@ -108,6 +108,20 @@ TEST(SimInstance, TracePathsRecordsWhenEnabled) {
   EXPECT_FALSE(sim.path_trace()->paths().empty());
 }
 
+// SSAF takes config.ssaf as given: a TTL of 0 lets only the source's own
+// transmission reach anyone, so every delivery is one hop.
+TEST(SimInstance, SsafTtlIsHonored) {
+  ScenarioConfig config = bench::figure1_setup();
+  config.protocol = ProtocolKind::Ssaf;
+  const ScenarioResult multi_hop = run_scenario(config);
+  EXPECT_GT(multi_hop.mean_hops, 1.0);
+
+  config.ssaf.ttl = 0;
+  const ScenarioResult one_hop = run_scenario(config);
+  EXPECT_GT(one_hop.delivered, 0u);
+  EXPECT_LE(one_hop.mean_hops, 1.0);
+}
+
 TEST(SimInstance, FailureModelCreatedOnlyWhenRequested) {
   ScenarioConfig config = small_scenario(ProtocolKind::Routeless);
   SimInstance without(config);
