@@ -60,6 +60,12 @@ void SpatialGrid::compact() {
 
 void SpatialGrid::query(Vec2 center, double radius,
                         std::vector<std::uint32_t>& out) const {
+  query_unsorted(center, radius, out);
+  std::sort(out.begin(), out.end());
+}
+
+void SpatialGrid::query_unsorted(Vec2 center, double radius,
+                                 std::vector<std::uint32_t>& out) const {
   out.clear();
   const double r_sq = radius * radius;
   const auto col_lo = static_cast<std::int64_t>(
@@ -110,7 +116,6 @@ void SpatialGrid::query(Vec2 center, double radius,
     }
     scan_debt_ += dislodged_.size();
   }
-  std::sort(out.begin(), out.end());
 }
 
 void SpatialGrid::update_position(std::uint32_t id, Vec2 new_position) {

@@ -35,6 +35,10 @@ class SpatialGrid {
   /// Collect ids within `radius` of `center` into `out` (cleared first).
   /// Results are sorted by id so downstream iteration is deterministic.
   void query(Vec2 center, double radius, std::vector<std::uint32_t>& out) const;
+  /// The same ids as query(), in an order that depends on the index's
+  /// history: for callers that sort by a key of their own.
+  void query_unsorted(Vec2 center, double radius,
+                      std::vector<std::uint32_t>& out) const;
 
   /// Move a node (e.g. mobility extensions); keeps the index consistent.
   /// Deferred: the CSR arrays are only rebuilt at epoch boundaries.

@@ -1,7 +1,5 @@
 #include "phy/channel.hpp"
 
-#include <algorithm>
-
 #include "obs/trace.hpp"
 #include "phy/units.hpp"
 #include "util/contracts.hpp"
@@ -14,21 +12,17 @@ Channel::Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
     : scheduler_(&scheduler),
       model_(std::move(model)),
       params_(params),
-      tx_power_mw_(dbm_to_mw(params.tx_power_dbm)),
       rx_threshold_mw_(dbm_to_mw(params.rx_threshold_dbm)),
-      interference_cutoff_mw_(dbm_to_mw(params.interference_cutoff_dbm)),
       nominal_range_(range_for_threshold(*model_, params.tx_power_dbm,
                                          params.rx_threshold_dbm,
                                          terrain.diameter())),
       interference_range_(range_for_threshold(*model_, params.tx_power_dbm,
                                               params.interference_cutoff_dbm,
                                               terrain.diameter())),
-      grid_(terrain, /*cell_size=*/std::max(1.0, interference_range_),
-            positions),
-      rng_(rng),
-      link_seed_base_(rng_.seed()),
-      stochastic_(model_->stochastic()) {
-  const std::size_t n = grid_.size();
+      receiver_table_(terrain, positions, interference_range_, *model_,
+                      dbm_to_mw(params.tx_power_dbm),
+                      dbm_to_mw(params.interference_cutoff_dbm), rng) {
+  const std::size_t n = receiver_table_.size();
   RRNET_EXPECTS(n > 0);
   frame_counters_.assign(n, 0);
   transceivers_.reserve(n);
@@ -62,11 +56,6 @@ Channel::spare_transmissions() {
   return pool;
 }
 
-std::vector<std::uint32_t>& Channel::query_scratch() {
-  static thread_local std::vector<std::uint32_t> scratch;
-  return scratch;
-}
-
 Transceiver& Channel::transceiver(std::uint32_t id) {
   RRNET_EXPECTS(id < transceivers_.size());
   return *transceivers_[id];
@@ -78,12 +67,12 @@ const Transceiver& Channel::transceiver(std::uint32_t id) const {
 }
 
 geom::Vec2 Channel::position(std::uint32_t id) const {
-  return grid_.position(id);
+  return receiver_table_.position(id);
 }
 
 void Channel::set_position(std::uint32_t id, geom::Vec2 position) {
   RRNET_EXPECTS(id < transceivers_.size());
-  grid_.update_position(id, position);
+  receiver_table_.set_position(id, position);
 }
 
 bool Channel::transmit(const Airframe& frame) {
@@ -111,52 +100,19 @@ bool Channel::transmit(const Airframe& frame) {
     transceivers_[s]->end_transmit(id, scheduler_->now());
   });
 
-  const geom::Vec2 origin = grid_.position(frame.sender);
-  std::vector<std::uint32_t>& query_buffer = query_scratch();
-  grid_.query(origin, interference_range_, query_buffer);
   const std::uint32_t slot = acquire_transmission();
   Transmission& tx = *transmissions_[slot];
   tx.frame = frame;
   tx.duration = duration;
-  // Stochastic models draw from counter-based per-link streams keyed on
-  // (base, sender, receiver, per-sender frame counter), so each fade is a
-  // pure function of the transmission, not of the channel's draw history.
-  // The per-sender counter is the low half of frame.id.
-  const auto draw_index = frame.id & 0xFFFFFFFFULL;
-  // `order` counts every cutoff-passing receiver in grid-query order: the
-  // tie-break for equal arrivals below.
-  std::uint32_t order = 0;
-  for (const std::uint32_t rx_id : query_buffer) {
-    if (rx_id == frame.sender) continue;
-    const double dist = geom::distance(origin, grid_.position(rx_id));
-    // Power draws stay in grid-query order at transmit time; positions and
-    // powers are pinned here, so signals in flight ignore later mobility.
-    // Drawn in mW: the linear entry point spares a log10 per draw and the
-    // pow per arrival that converting back would cost.
-    double power_mw;
-    if (stochastic_) {
-      des::LinkRng link(link_seed_base_, frame.sender, rx_id, draw_index);
-      power_mw = model_->rx_power_mw(tx_power_mw_, dist, link.rng());
-    } else {
-      power_mw = model_->rx_power_mw(tx_power_mw_, dist, rng_);
-    }
-    if (power_mw < interference_cutoff_mw_) continue;  // imperceptible
-    tx.receivers.push_back({now + dist / des::kSpeedOfLight, power_mw, rx_id,
-                            order++, SignalMap::kNoSlot, false});
-  }
+  // Powers and arrivals are pinned here, so signals in flight ignore later
+  // mobility. The per-sender frame counter (the low half of frame.id) keys
+  // the fading draws.
+  receiver_table_.fill(frame.sender, now, frame.id & 0xFFFFFFFFULL,
+                       tx.receivers);
   if (tx.receivers.empty()) {
     release_transmission(slot);
     return true;
   }
-  // Equal arrivals keep grid-query order (the `order` field), matching the
-  // sequence order the unfused per-receiver events would have had. Plain
-  // sort with an explicit tie-break: stable_sort allocates a temporary
-  // buffer per call, which would be the hot path's only allocation.
-  std::sort(tx.receivers.begin(), tx.receivers.end(),
-            [](const PendingRx& a, const PendingRx& b) {
-              return a.arrival != b.arrival ? a.arrival < b.arrival
-                                            : a.order < b.order;
-            });
   scheduler_->schedule_at(tx.receivers.front().arrival,
                           [this, slot]() { advance_transmission(slot); });
   return true;

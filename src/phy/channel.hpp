@@ -11,10 +11,9 @@
 // O(receivers), which keeps it shallow exactly when §3 floods make
 // neighborhoods dense. When nothing else is due before its next start/end,
 // the walker takes the scheduler's inline hand-off and runs it in the same
-// call, so most receiver edges cost no queue operation at all. Start/end
-// interleaving, power draws (grid-query order at transmit time), and
-// same-timestamp ordering (starts before ends; equal arrivals in query
-// order) are preserved bit-for-bit.
+// call, so most receiver edges cost no queue operation at all. The list
+// comes from phy::ReceiverTable, sorted by (arrival, receiver id); starts
+// go before ends at equal timestamps.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +22,9 @@
 
 #include "des/rng.hpp"
 #include "des/scheduler.hpp"
-#include "geom/spatial_grid.hpp"
 #include "phy/propagation.hpp"
 #include "phy/radio.hpp"
+#include "phy/receiver_table.hpp"
 #include "phy/transceiver.hpp"
 
 namespace rrnet::phy {
@@ -89,15 +88,6 @@ class Channel {
   void set_position(std::uint32_t id, geom::Vec2 position);
 
  private:
-  struct PendingRx {
-    des::Time arrival;     ///< absolute signal-start time at this receiver
-    double power_mw;       ///< drawn from the model at transmit time (linear)
-    std::uint32_t rx_id;
-    std::uint32_t order;   ///< grid-query index; tie-break for equal arrivals
-    std::uint32_t slot;    ///< receiver's SignalMap slot, set at signal start
-    bool could_decode;     ///< evaluated at signal start (radio state then)
-  };
-
   /// One in-flight broadcast: the frame plus its receiver list, sorted by
   /// arrival, with two cursors merging the start and end streams. Slots are
   /// unique_ptr so references stay stable when a re-entrant transmit()
@@ -123,27 +113,17 @@ class Channel {
   /// without this every run re-grows every receiver vector from scratch;
   /// with it, warm runs on the same thread are allocation-free here.
   static std::vector<std::unique_ptr<Transmission>>& spare_transmissions();
-  /// Thread-local grid-query scratch, same rationale.
-  static std::vector<std::uint32_t>& query_scratch();
 
   des::Scheduler* scheduler_;
   std::unique_ptr<PropagationModel> model_;
   RadioParams params_;
-  // Linear-domain mirrors of the dBm params, converted once: the transmit
-  // loop draws and thresholds per receiver in mW, so no per-draw pow/log.
-  double tx_power_mw_;
+  // Linear-domain mirror of the dBm threshold, converted once: the walker
+  // thresholds per receiver in mW, so no per-arrival pow/log.
   double rx_threshold_mw_;
-  double interference_cutoff_mw_;
   double nominal_range_;
   double interference_range_;
-  geom::SpatialGrid grid_;
+  ReceiverTable receiver_table_;
   std::vector<std::unique_ptr<Transceiver>> transceivers_;
-  des::Rng rng_;
-  /// Base key of the counter-based per-link streams (des::LinkRng), taken
-  /// from rng_'s fork-derived seed.
-  std::uint64_t link_seed_base_ = 0;
-  /// Cached model_->stochastic(): per-receiver branch on the hot path.
-  bool stochastic_ = false;
   ChannelStats stats_;
   std::vector<std::uint32_t> frame_counters_;  ///< per-sender frame-id counters
   std::vector<std::unique_ptr<Transmission>> transmissions_;

@@ -1,10 +1,16 @@
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "des/scheduler.hpp"
+#include "geom/placement.hpp"
 #include "phy/channel.hpp"
+#include "phy/receiver_table.hpp"
 #include "phy/units.hpp"
 
 namespace rrnet::phy {
@@ -290,6 +296,186 @@ TEST_F(ChannelTest, FrameIdsAreUnique) {
   EXPECT_NE(a, c);
   EXPECT_NE(b, c);
   EXPECT_EQ(c >> 32, 1u);
+}
+
+// ------------------------------------------------------------ ReceiverTable
+//
+// Differential fuzz: every fill, whether it reuses a stored list, stores a
+// new one or builds into scratch (over budget, or after a move), must equal
+// an O(n) pass over all nodes, bit for bit.
+
+struct LinkSetup {
+  double tx_power_mw;
+  double cutoff_mw;
+  double range_m;
+};
+
+/// Calibrated like a scenario: the nominal range is 250 m and the cutoff
+/// sits 10 dB under the rx threshold.
+LinkSetup calibrate(const PropagationModel& model,
+                    const geom::Terrain& terrain) {
+  const RadioParams params;
+  const double tx_dbm =
+      tx_power_for_range(model, 250.0, params.rx_threshold_dbm);
+  const double cutoff_dbm = params.rx_threshold_dbm - 10.0;
+  return {dbm_to_mw(tx_dbm), dbm_to_mw(cutoff_dbm),
+          range_for_threshold(model, tx_dbm, cutoff_dbm, terrain.diameter())};
+}
+
+/// Every other node within range whose power clears the cutoff, sorted by
+/// (arrival, id).
+std::vector<PendingRx> brute_force(const std::vector<geom::Vec2>& positions,
+                                   std::uint32_t sender, des::Time now,
+                                   std::uint64_t draw_index,
+                                   const PropagationModel& model,
+                                   const LinkSetup& link,
+                                   std::uint64_t link_seed_base) {
+  std::vector<PendingRx> out;
+  des::Rng unused(0);
+  for (std::uint32_t id = 0; id < positions.size(); ++id) {
+    if (id == sender) continue;
+    const double d = geom::distance(positions[sender], positions[id]);
+    if (d > link.range_m) continue;
+    des::LinkRng draws(link_seed_base, sender, id, draw_index);
+    const double power = model.rx_power_mw(
+        link.tx_power_mw, d, model.stochastic() ? draws.rng() : unused);
+    if (power < link.cutoff_mw) continue;
+    out.push_back({now + d / des::kSpeedOfLight, power, id});
+  }
+  std::sort(out.begin(), out.end(), [](const PendingRx& a, const PendingRx& b) {
+    return a.arrival != b.arrival ? a.arrival < b.arrival : a.rx_id < b.rx_id;
+  });
+  return out;
+}
+
+/// True if `got` equals `want` in ids, arrival bits and power bits.
+::testing::AssertionResult same_receivers(const std::vector<PendingRx>& got,
+                                          const std::vector<PendingRx>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " receivers, want " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i].rx_id != want[i].rx_id ||
+        std::bit_cast<std::uint64_t>(got[i].arrival) !=
+            std::bit_cast<std::uint64_t>(want[i].arrival) ||
+        std::bit_cast<std::uint64_t>(got[i].power_mw) !=
+            std::bit_cast<std::uint64_t>(want[i].power_mw)) {
+      return ::testing::AssertionFailure()
+             << "entry " << i << ": rx " << got[i].rx_id << " at "
+             << got[i].arrival << " with " << got[i].power_mw << " mW, want rx "
+             << want[i].rx_id << " at " << want[i].arrival << " with "
+             << want[i].power_mw << " mW";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A `now` from a mix that includes 2^20 s, where offsets a few cm apart
+/// round to one arrival, and 2^33 s, where ulp(now) exceeds every offset
+/// and a whole list collapses to one arrival.
+des::Time draw_now(des::Rng& rng) {
+  switch (rng.uniform_int(0, 3)) {
+    case 0: return 0.0;
+    case 1: return rng.uniform(0.0, 100.0);
+    case 2: return std::ldexp(1.0, 20) + rng.uniform(0.0, 1.0);
+    default: return std::ldexp(1.0, 33);
+  }
+}
+
+std::unique_ptr<PropagationModel> make_model(int kind) {
+  switch (kind) {
+    case 0: return std::make_unique<FreeSpace>();
+    case 1: return std::make_unique<TwoRayGround>();
+    default:
+      return std::make_unique<RayleighFading>(std::make_unique<FreeSpace>());
+  }
+}
+
+TEST(ReceiverTable, DifferentialFuzzAgainstBruteForce) {
+  constexpr std::uint32_t kNodes = 300;
+  constexpr std::uint32_t kSenders = 40;  // so most senders fill repeatedly
+  const geom::Terrain terrain(1000.0, 1000.0);
+  for (const std::uint64_t seed : {21u, 22u, 23u}) {
+    for (int kind = 0; kind < 3; ++kind) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed=" << seed << " model=" << kind);
+      des::Rng rng(seed);
+      std::vector<geom::Vec2> positions =
+          geom::place_uniform(terrain, kNodes, rng);
+      const auto model = make_model(kind);
+      const LinkSetup link = calibrate(*model, terrain);
+      if (kind == 1) {
+        const auto& two_ray = static_cast<const TwoRayGround&>(*model);
+        ASSERT_LT(two_ray.crossover_distance_m(), link.range_m);
+      }
+      const des::Rng link_rng(seed * 7 + 1);
+      ReceiverTable table(terrain, positions, link.range_m, *model,
+                          link.tx_power_mw, link.cutoff_mw, link_rng);
+      std::vector<std::uint64_t> draws(kNodes, 0);
+      std::vector<PendingRx> got;
+      // Phase 0 stores and reuses lists; phase 1 moves nodes between fills,
+      // so they enter and leave ranges and nothing is stored any more.
+      for (int phase = 0; phase < 2; ++phase) {
+        for (int op = 0; op < 400; ++op) {
+          if (phase == 1 && rng.uniform(0.0, 1.0) < 0.4) {
+            const auto id =
+                static_cast<std::uint32_t>(rng.uniform_int(0, kNodes - 1));
+            positions[id] = terrain.clamp(
+                {positions[id].x + rng.uniform(-150.0, 150.0),
+                 positions[id].y + rng.uniform(-150.0, 150.0)});
+            table.set_position(id, positions[id]);
+            continue;
+          }
+          const auto sender =
+              static_cast<std::uint32_t>(rng.uniform_int(0, kSenders - 1));
+          const des::Time now = draw_now(rng);
+          const std::uint64_t draw = ++draws[sender];
+          table.fill(sender, now, draw, got);
+          const auto want = brute_force(positions, sender, now, draw, *model,
+                                        link, link_rng.seed());
+          ASSERT_TRUE(same_receivers(got, want))
+              << "phase=" << phase << " op=" << op << " sender=" << sender;
+        }
+        if (phase == 0) {
+          EXPECT_EQ(table.stored_senders(), kSenders);
+        } else {
+          EXPECT_EQ(table.stored_senders(), 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(ReceiverTable, DenseListsOverflowTheBudgetIntoScratch) {
+  // Every node hears every other: 2 000 nodes make ~4 M entries, far over
+  // the byte budget, so most senders are built into scratch on each fill.
+  constexpr std::uint32_t kNodes = 2000;
+  const geom::Terrain terrain(100.0, 100.0);
+  des::Rng rng(31);
+  const auto positions = geom::place_uniform(terrain, kNodes, rng);
+  const FreeSpace model;
+  const LinkSetup link = calibrate(model, terrain);
+  ASSERT_GE(link.range_m, terrain.diameter());
+  ReceiverTable table(terrain, positions, link.range_m, model,
+                      link.tx_power_mw, link.cutoff_mw, des::Rng(32));
+  std::vector<PendingRx> got;
+  std::vector<std::uint8_t> filled(kNodes, 0);
+  for (int op = 0; op < 600; ++op) {
+    const auto sender = static_cast<std::uint32_t>(rng.uniform_int(0, 299));
+    const des::Time now = draw_now(rng);
+    table.fill(sender, now, 1, got);
+    filled[sender] = 1;
+    ASSERT_TRUE(same_receivers(
+        got, brute_force(positions, sender, now, 1, model, link, 0)))
+        << "op=" << op << " sender=" << sender;
+  }
+  const auto distinct = static_cast<std::size_t>(
+      std::count(filled.begin(), filled.end(), std::uint8_t{1}));
+  EXPECT_GT(table.stored_senders(), 0u);
+  EXPECT_LT(table.stored_senders(), distinct);
+  EXPECT_LE(table.stored_senders() * (kNodes - 1) * 16,
+            ReceiverTable::kByteBudget);
 }
 
 }  // namespace

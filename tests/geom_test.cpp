@@ -109,12 +109,12 @@ TEST(SpatialGrid, UpdatePositionMovesAcrossCells) {
   EXPECT_EQ(grid.position(0), (Vec2{95, 95}));
 }
 
-// Query order is a determinism contract, not a convenience: the channel
-// iterates the query result and draws one fade/jitter sample per receiver,
-// so the id order pins the per-receiver RNG draw order (and with it
-// serial == parallel replication bit-identity). The order must be sorted
-// ascending by id and survive arbitrary update_position churn, which
-// reorders the grid's internal cell vectors via swap-and-pop.
+// Query output is sorted ascending by id and repeatable, whatever
+// update_position churn did to the grid's internal cell spans. Fades no
+// longer depend on it (des::LinkRng keys each draw by link and frame), and
+// phy::ReceiverTable re-sorts receivers by (distance, id); the channel's
+// determinism contract is that equal arrivals are handled in receiver-id
+// order (ReceiverTable.DifferentialFuzzAgainstBruteForce).
 TEST(SpatialGrid, QueryOrderSortedAndStableUnderChurn) {
   const Terrain t(200.0, 200.0);
   des::Rng rng(42);

@@ -1,3 +1,4 @@
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -350,6 +351,48 @@ TEST(SerialFadingRng, DeterministicPerSeedAfterLinkRngSwitch) {
   const ScenarioResult c = run_scenario(other);
   EXPECT_NE(std::tie(a.delivered, a.mean_delay_s, a.mac_packets),
             std::tie(c.delivered, c.mean_delay_s, c.mac_packets));
+}
+
+// One small SSAF scenario per propagation model, pinned to the outcomes
+// captured before receiver lists were kept per sender. The figure CSVs pin
+// only free space; this is where the other four models' outcomes live.
+TEST(PropagationOutcomes, PinnedForEveryModel) {
+  struct Pin {
+    PropagationKind kind;
+    const char* name;
+    std::uint64_t sent;
+    std::uint64_t delivered;
+    std::uint64_t mac_packets;
+    std::uint64_t channel_transmissions;
+    std::uint64_t signals_arrived;
+    std::uint64_t mean_delay_bits;  ///< bit pattern of mean_delay_s
+  };
+  const Pin pins[] = {
+      {PropagationKind::FreeSpace, "FreeSpace", 14, 14, 294, 294, 8526,
+       0x3f6834e389856edb},
+      {PropagationKind::TwoRay, "TwoRay", 14, 14, 220, 220, 4523,
+       0x3f68a832257ffeb7},
+      {PropagationKind::LogDistance, "LogDistance", 14, 14, 253, 253, 6535,
+       0x3f68b5b6c01779b7},
+      {PropagationKind::Rayleigh, "Rayleigh", 14, 14, 294, 294, 6911,
+       0x3f6b6b68d8166f6e},
+      {PropagationKind::Shadowing, "Shadowing", 14, 14, 276, 276, 7414,
+       0x3f6442588e5f546e},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    ScenarioConfig config = small_scenario(ProtocolKind::Ssaf);
+    config.propagation = pin.kind;
+    const ScenarioResult r = run_scenario(config);
+    EXPECT_EQ(r.sent, pin.sent);
+    EXPECT_EQ(r.delivered, pin.delivered);
+    EXPECT_EQ(r.mac_packets, pin.mac_packets);
+    EXPECT_EQ(r.channel_transmissions, pin.channel_transmissions);
+    EXPECT_EQ(r.metrics.value("phy.signals_arrived"), pin.signals_arrived);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.mean_delay_s),
+              pin.mean_delay_bits)
+        << "mean_delay_s = " << r.mean_delay_s;
+  }
 }
 
 TEST(Sweep, BuildsLabeledTable) {
