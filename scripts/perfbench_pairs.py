@@ -12,9 +12,9 @@ both sides alike. Each run builds its own tree into its checkout's
 .bench_build/ the first time.
 
 For each workload and each end-to-end metric of BENCHMARK.json it prints
-both sides' medians and quartiles, the change's median over REV's, and how
-many pairs the change won; for each side, the simulations attempted and
-failed. Nothing is written under perfbench/.
+both sides' medians and quartiles, the change's median over REV's, how
+many pairs the change won and a verdict (see `verdict`); for each side, the
+simulations attempted and failed. Nothing is written under perfbench/.
 """
 
 import argparse
@@ -49,6 +49,39 @@ def spread(values):
     return q1, median, q3
 
 
+def wins(rev, new, lower):
+    """Pairs in which the change reads better than REV; ties count for neither."""
+    return sum((b < a) if lower else (b > a) for a, b in zip(rev, new))
+
+
+def verdict(rev, new, lower, bound):
+    """Acceptance of one metric on one workload from paired runs.
+
+    `rev[i]` and `new[i]` are pair i's readings; `lower` says lower is
+    better; `bound` is the metric's BENCHMARK.json bound, a fraction of
+    REV's median. In this order:
+      gain        the change wins at least 90% of the pairs (ties count for
+                  neither) and its median is better than REV's by more than
+                  REV's interquartile range;
+      worse       the change's median is worse than REV's by more than
+                  `bound` times REV's median;
+      unresolved  REV's interquartile range exceeds `bound` times its
+                  median, unless every change run beats every REV run;
+      same        otherwise.
+    """
+    r1, rm, r3 = spread(rev)
+    _, cm, _ = spread(new)
+    gain = (rm - cm) if lower else (cm - rm)
+    if 10 * wins(rev, new, lower) >= 9 * len(rev) and gain > r3 - r1:
+        return "gain"
+    if -gain > bound * abs(rm):
+        return "worse"
+    beats_all = (max(new) < min(rev)) if lower else (min(new) > max(rev))
+    if r3 - r1 > bound * abs(rm) and not beats_all:
+        return "unresolved"
+    return "same"
+
+
 def report(workload, metrics, runs):
     print(f"== {workload}: {len(runs['rev'])} pairs ==")
     for side, label in (("rev", "REV"), ("change", "change")):
@@ -58,19 +91,20 @@ def report(workload, metrics, runs):
         print(f"  {label:6s} attempted {attempted}, failed {failed}, "
               f"correct {correct}")
     print(f"  {'metric':18s} {'REV median [q1, q3]':>30s} "
-          f"{'change median [q1, q3]':>30s} {'ratio':>7s} {'wins':>6s}")
+          f"{'change median [q1, q3]':>30s} {'ratio':>7s} {'wins':>6s} "
+          f"verdict")
     for metric in metrics:
         name = metric["name"]
         rev = [r["metrics"][name]["value"] for r in runs["rev"]]
         new = [r["metrics"][name]["value"] for r in runs["change"]]
         lower = metric["better"] == "lower"
-        wins = sum((b < a) if lower else (b > a) for a, b in zip(rev, new))
         r1, rm, r3 = spread(rev)
         c1, cm, c3 = spread(new)
         ratio = cm / rm if rm else float("nan")
         print(f"  {name:18s} {f'{rm:.4g} [{r1:.4g}, {r3:.4g}]':>30s} "
               f"{f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':>30s} {ratio:7.3f} "
-              f"{wins:3d}/{len(rev)}")
+              f"{wins(rev, new, lower):3d}/{len(rev)} "
+              f"{verdict(rev, new, lower, metric['bound'])}")
     sys.stdout.flush()
 
 

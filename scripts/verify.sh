@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: plain build (warnings are errors) + tests, every
 # checked-in result file reproduced byte for byte (abl_large_n: the
-# deterministic columns of its n=5000 rows), the perfbench seed-1 pins and
-# perfbench's own unit tests, then the same suite under ASan/UBSan
+# deterministic columns of its n=5000 rows), the perfbench seed-1 pins,
+# perfbench's own unit tests and those of scripts/perfbench_pairs.py's
+# acceptance rule, then the same suite under ASan/UBSan
 # (second build dir, registered as the "sanitize" configuration), a JSON
 # export smoke, and the threaded tests under TSan (third build dir).
 #
@@ -119,6 +120,8 @@ done
 
 echo "== perfbench unit tests =="
 python3 -m unittest discover -s perfbench -p 'test_*.py'
+# The paired A/B script's acceptance rule, on synthetic runs (no build).
+python3 -m unittest discover -s scripts -p 'test_*.py'
 
 echo "== bench regression gate =="
 # The gate only means something against a tracing-free binary: the checked-in

@@ -52,6 +52,11 @@ class SpatialGrid {
   [[nodiscard]] Vec2 position(std::uint32_t id) const;
   [[nodiscard]] std::size_t size() const noexcept { return positions_.size(); }
   [[nodiscard]] double cell_size() const noexcept { return cell_size_; }
+  /// Every id in CSR order as of the last compaction: cells row-major, ids
+  /// ascending inside a cell.
+  [[nodiscard]] const std::vector<std::uint32_t>& cell_order() const noexcept {
+    return ids_;
+  }
   /// Moves recorded since the last compaction epoch.
   [[nodiscard]] std::size_t pending_updates() const noexcept {
     return dislodged_.size();

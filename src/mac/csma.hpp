@@ -49,6 +49,22 @@ struct MacStats {
   [[nodiscard]] std::uint64_t total_tx() const noexcept {
     return data_tx + ack_tx + rts_tx + cts_tx;
   }
+
+  MacStats& operator+=(const MacStats& o) noexcept {
+    data_tx += o.data_tx;
+    ack_tx += o.ack_tx;
+    rts_tx += o.rts_tx;
+    cts_tx += o.cts_tx;
+    cts_timeouts += o.cts_timeouts;
+    nav_deferrals += o.nav_deferrals;
+    backoffs += o.backoffs;
+    retries += o.retries;
+    unicast_failures += o.unicast_failures;
+    queue_drops += o.queue_drops;
+    tx_dropped_radio_off += o.tx_dropped_radio_off;
+    backoff_slots.merge(o.backoff_slots);
+    return *this;
+  }
 };
 
 /// Delivery callbacks from the MAC to the network layer.

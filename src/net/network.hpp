@@ -17,8 +17,9 @@ namespace rrnet::net {
 
 class Network {
  public:
-  /// Builds the channel and one node (transceiver + MAC) per position.
-  /// Protocols are attached afterwards via node(i).set_protocol(...).
+  /// Builds the channel and one node (transceiver + MAC) per position, in
+  /// the channel's layout_order(). Protocols are attached afterwards via
+  /// node(i).set_protocol(...).
   Network(des::Scheduler& scheduler, const geom::Terrain& terrain,
           std::unique_ptr<phy::PropagationModel> model,
           phy::RadioParams radio_params, mac::MacParams mac_params,
@@ -26,6 +27,7 @@ class Network {
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
+  ~Network();
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
   [[nodiscard]] Node& node(std::uint32_t id);
@@ -57,7 +59,7 @@ class Network {
  private:
   des::Scheduler* scheduler_;
   std::unique_ptr<phy::Channel> channel_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<std::unique_ptr<Node>> nodes_;  ///< by id
   std::vector<PacketObserver*> observers_;
 };
 

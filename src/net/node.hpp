@@ -39,6 +39,13 @@ struct NodeStats {
   std::uint64_t data_tx = 0;
   std::uint64_t control_tx = 0;
   std::uint64_t delivered = 0;
+
+  NodeStats& operator+=(const NodeStats& o) noexcept {
+    data_tx += o.data_tx;
+    control_tx += o.control_tx;
+    delivered += o.delivered;
+    return *this;
+  }
 };
 
 class Node final : public mac::MacListener, public util::PoolAllocated {

@@ -21,16 +21,19 @@ Channel::Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
                                               terrain.diameter())),
       receiver_table_(terrain, positions, interference_range_, *model_,
                       dbm_to_mw(params.tx_power_dbm),
-                      dbm_to_mw(params.interference_cutoff_dbm), rng) {
+                      dbm_to_mw(params.interference_cutoff_dbm), rng),
+      layout_order_(receiver_table_.cell_order()) {
   const std::size_t n = receiver_table_.size();
   RRNET_EXPECTS(n > 0);
   frame_counters_.assign(n, 0);
-  transceivers_.reserve(n);
-  for (std::uint32_t id = 0; id < n; ++id) {
-    transceivers_.push_back(std::make_unique<Transceiver>(id, params_));
+  // Built in layout order, so the pools hand radio neighbours (and their
+  // SignalMap blocks) nearby addresses.
+  transceivers_.resize(n);
+  for (const std::uint32_t id : layout_order_) {
+    transceivers_[id] = std::make_unique<Transceiver>(id, params_);
     // Channel-owned transceivers can always timestamp their own events
     // (turn_off drop records); enable_energy() re-sets the same clock.
-    transceivers_.back()->clock_ = scheduler_;
+    transceivers_[id]->clock_ = scheduler_;
   }
 }
 
@@ -48,6 +51,9 @@ Channel::~Channel() {
     tx->next_end = 0;
     spare.push_back(std::move(tx));
   }
+  // Freed in layout order, so the pools' free lists stay address-sorted for
+  // the next run built on this thread.
+  for (const std::uint32_t id : layout_order_) transceivers_[id].reset();
 }
 
 std::vector<std::unique_ptr<Channel::Transmission>>&

@@ -57,6 +57,14 @@ class Channel {
   [[nodiscard]] const PropagationModel& model() const noexcept { return *model_; }
   [[nodiscard]] des::Scheduler& scheduler() const noexcept { return *scheduler_; }
 
+  /// Every node id once, in the order per-node objects are built, laid out
+  /// and walked: the spatial grid's cells row-major at the interference
+  /// range, ids ascending inside a cell. Fixed at construction; mobility
+  /// does not change it.
+  [[nodiscard]] const std::vector<std::uint32_t>& layout_order() const noexcept {
+    return layout_order_;
+  }
+
   /// Start transmitting `frame` from `frame.sender`. Returns false (and
   /// drops the frame) if that radio is off or already transmitting.
   bool transmit(const Airframe& frame);
@@ -123,7 +131,9 @@ class Channel {
   double nominal_range_;
   double interference_range_;
   ReceiverTable receiver_table_;
-  std::vector<std::unique_ptr<Transceiver>> transceivers_;
+  // A copy: mobility recompacts the grid's order, but objects stay put.
+  std::vector<std::uint32_t> layout_order_;
+  std::vector<std::unique_ptr<Transceiver>> transceivers_;  ///< by id
   ChannelStats stats_;
   std::vector<std::uint32_t> frame_counters_;  ///< per-sender frame-id counters
   std::vector<std::unique_ptr<Transmission>> transmissions_;

@@ -29,6 +29,7 @@ void FailureModel::start() {
   RRNET_EXPECTS(!started_);
   started_ = true;
   if (config_.off_fraction <= 0.0) return;
+  // Id order: each node draws from the one stream in turn.
   for (std::uint32_t node = 0; node < states_.size(); ++node) {
     if (std::find(config_.exempt_nodes.begin(), config_.exempt_nodes.end(),
                   node) != config_.exempt_nodes.end()) {

@@ -72,6 +72,10 @@ class ReceiverTable {
     return grid_.position(id);
   }
   [[nodiscard]] std::size_t size() const noexcept { return grid_.size(); }
+  /// The grid's CSR order (geom::SpatialGrid::cell_order).
+  [[nodiscard]] const std::vector<std::uint32_t>& cell_order() const noexcept {
+    return grid_.cell_order();
+  }
   /// Senders whose list is stored.
   [[nodiscard]] std::size_t stored_senders() const noexcept { return stored_; }
 

@@ -36,6 +36,20 @@ struct TransceiverStats {
   std::uint64_t frames_aborted_off = 0; ///< decode in progress, radio cut
   std::uint64_t tx_dropped_off = 0;     ///< transmit attempts while off
   std::uint64_t tx_dropped_busy = 0;    ///< transmit attempts while Tx-busy
+
+  TransceiverStats& operator+=(const TransceiverStats& o) noexcept {
+    frames_sent += o.frames_sent;
+    signals_arrived += o.signals_arrived;
+    frames_decoded += o.frames_decoded;
+    frames_collided += o.frames_collided;
+    frames_missed_busy += o.frames_missed_busy;
+    frames_below_threshold += o.frames_below_threshold;
+    frames_while_off += o.frames_while_off;
+    frames_aborted_off += o.frames_aborted_off;
+    tx_dropped_off += o.tx_dropped_off;
+    tx_dropped_busy += o.tx_dropped_busy;
+    return *this;
+  }
 };
 
 class Channel;

@@ -183,12 +183,14 @@ SimInstance::SimInstance(const ScenarioConfig& config)
       scheduler_, terrain_, std::move(model), radio, config_.mac,
       std::move(positions), root.fork("network"));
 
-  for (std::uint32_t id = 0; id < network_->size(); ++id) {
+  // In the network's layout order, so protocols sit in space order too.
+  for (const std::uint32_t id : network_->channel().layout_order()) {
     attach_protocol(config_, network_->node(id));
     app::attach_sink(network_->node(id), flows_);
   }
 
-  // Traffic pairs.
+  // Traffic pairs. Topology and pair drawing stay in id order: the draws
+  // name ids.
   if (!config_.explicit_pairs.empty()) {
     pairs_ = config_.explicit_pairs;
   } else {
@@ -251,7 +253,7 @@ SimInstance::SimInstance(const ScenarioConfig& config)
   }
 
   if (config_.track_energy) {
-    for (std::uint32_t id = 0; id < network_->size(); ++id) {
+    for (const std::uint32_t id : network_->channel().layout_order()) {
       network_->channel().transceiver(id).enable_energy(
           config_.energy_profile, scheduler_);
     }
@@ -332,6 +334,7 @@ ScenarioResult SimInstance::result() const {
   r.events_executed = scheduler_.executed_count();
   if (config_.track_energy) {
     double joules = 0.0;
+    // Id order: floating-point addition is not associative.
     for (std::uint32_t id = 0; id < network_->size(); ++id) {
       // finalize_energy is idempotent at a fixed clock time.
       auto& radio = const_cast<SimInstance*>(this)

@@ -34,6 +34,7 @@ void RandomWaypoint::choose_waypoint(std::uint32_t node) {
 }
 
 void RandomWaypoint::start() {
+  // Id order: each node draws from the one stream in turn.
   for (std::uint32_t node = 0; node < states_.size(); ++node) {
     if (states_[node].pinned) continue;
     choose_waypoint(node);

@@ -15,6 +15,8 @@ Topology::Topology(const phy::Channel& channel)
     positions.push_back(channel.position(i));
   }
   const auto n = static_cast<std::uint32_t>(positions.size());
+  // Id order: adjacency lists come out sorted by id, and BFS and pair
+  // drawing visit neighbours in that order.
   for (std::uint32_t i = 0; i < n; ++i) {
     for (std::uint32_t j = i + 1; j < n; ++j) {
       if (geom::distance_sq(positions[i], positions[j]) <= range_sq) {

@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -13,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include "obs/health.hpp"
+#include "mac/csma.hpp"
+#include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/builder.hpp"
@@ -235,6 +238,153 @@ TEST(ObsIntegration, PhyInvariantHoldsExactlyUnderRadioFailures) {
   ASSERT_GT(receiving, 0u);
   const obs::MetricRegistry mid = sim.result().metrics;
   EXPECT_EQ(phy_settled(mid) + receiving, mid.value(m::kPhySignalsArrived));
+}
+
+// Configs that between them drive every per-node counter the snapshot sums
+// (except the few named below): Routeless under radio failures, and AODV
+// with RTS/CTS, a two-frame MAC queue and failures.
+std::vector<sim::ScenarioConfig> snapshot_configs() {
+  sim::ScenarioConfig routeless = fig3_style_config();
+  routeless.failure_fraction = 0.5;
+  routeless.failure_cycle_s = 0.5;
+  sim::ScenarioConfig aodv = fig3_style_config();
+  aodv.protocol = sim::ProtocolKind::Aodv;
+  aodv.mac.rts_cts = true;
+  aodv.mac.queue_capacity = 2;
+  aodv.pairs = 4;
+  aodv.cbr_interval = 0.05;
+  aodv.failure_fraction = 0.3;
+  aodv.failure_cycle_s = 1.0;
+  return {routeless, aodv};
+}
+
+// Network::snapshot_metrics adds up every node's stats and registers each
+// metric once. Every phy, mac and net.tx_* / net.delivered entry must equal
+// the sum over nodes, in id order, of that field read through the public
+// accessors (the queue high-water is the max, the backoff-slot entries come
+// from the merged histogram), and the names must be those that registering
+// node by node produced.
+TEST(ObsIntegration, OnePassSnapshotEqualsPerNodeSums) {
+  // The names that registering node by node produced for these configs;
+  // Routeless adds its arbiter's.
+  const std::vector<std::string_view> common = {
+      "des.events_executed", "des.events_inline", "des.heap_high_water",
+      "election.armed", "election.cancelled_ack",
+      "election.cancelled_duplicate", "election.cancelled_superseded",
+      "election.won", "mac.ack_tx", "mac.backoff_slots.count",
+      "mac.backoff_slots.p50", "mac.backoff_slots.p99", "mac.backoff_slots.sum",
+      "mac.backoffs", "mac.cts_timeouts", "mac.cts_tx", "mac.data_tx",
+      "mac.nav_deferrals", "mac.queue_drops", "mac.queue_high_water",
+      "mac.retries", "mac.rts_tx", "mac.tx_dropped_radio_off",
+      "mac.unicast_failures", "net.delivered", "net.dup_cache_evictions",
+      "net.dup_cache_hits", "net.tx_control", "net.tx_data", "phy.deliveries",
+      "phy.drop_aborted_off", "phy.drop_below_sensitivity",
+      "phy.drop_collision", "phy.drop_rx_while_busy", "phy.drop_while_off",
+      "phy.rx_decoded", "phy.signals_arrived", "phy.transmissions",
+      "phy.tx_dropped_busy", "phy.tx_dropped_off", "phy.tx_frames",
+      "pool.object_allocs", "pool.object_heap_allocs",
+      "pool.object_in_use_high_water", "pool.packet_buffer_allocs",
+      "pool.packet_buffer_heap_allocs", "pool.packet_buffer_in_use_high_water",
+  };
+  std::vector<std::string_view> routeless = {
+      "arbiter.gave_up", "arbiter.relays_heard", "arbiter.retransmits",
+      "arbiter.watches"};
+  routeless.insert(routeless.end(), common.begin(), common.end());
+  const std::vector<std::vector<std::string_view>> pinned_names = {routeless,
+                                                                   common};
+  // Per-node fields no config here reaches: the MAC checks its radio
+  // before it transmits and counts mac.tx_dropped_radio_off instead.
+  const std::vector<std::string_view> unreached = {m::kPhyTxDroppedOff,
+                                                   m::kPhyTxDroppedBusy};
+  const std::vector<sim::ScenarioConfig> configs = snapshot_configs();
+  ASSERT_EQ(configs.size(), pinned_names.size());
+  std::map<std::string, std::uint64_t, std::less<>> largest_sum;
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    SCOPED_TRACE(c);
+    sim::SimInstance sim(configs[c]);
+    sim.run();
+    const obs::MetricRegistry reg = sim.result().metrics;
+    const net::Network& network = sim.network();
+
+    std::map<std::string, std::uint64_t, std::less<>> want;
+    const auto sum = [&want](std::string_view name, std::uint64_t value) {
+      want[std::string(name)] += value;
+    };
+    std::uint64_t queue_high_water = 0;
+    obs::Histogram backoff_slots;
+    for (std::uint32_t id = 0; id < network.size(); ++id) {
+      const phy::TransceiverStats& phy =
+          network.channel().transceiver(id).stats();
+      sum(m::kPhyTxFrames, phy.frames_sent);
+      sum(m::kPhySignalsArrived, phy.signals_arrived);
+      sum(m::kPhyRxDecoded, phy.frames_decoded);
+      sum(m::kPhyDropCollision, phy.frames_collided);
+      sum(m::kPhyDropRxWhileBusy, phy.frames_missed_busy);
+      sum(m::kPhyDropBelowSensitivity, phy.frames_below_threshold);
+      sum(m::kPhyDropWhileOff, phy.frames_while_off);
+      sum(m::kPhyDropAbortedOff, phy.frames_aborted_off);
+      sum(m::kPhyTxDroppedOff, phy.tx_dropped_off);
+      sum(m::kPhyTxDroppedBusy, phy.tx_dropped_busy);
+
+      const mac::CsmaMac& csma = network.node(id).mac();
+      const mac::MacStats& mac = csma.stats();
+      sum(m::kMacDataTx, mac.data_tx);
+      sum(m::kMacAckTx, mac.ack_tx);
+      sum(m::kMacRtsTx, mac.rts_tx);
+      sum(m::kMacCtsTx, mac.cts_tx);
+      sum(m::kMacBackoffs, mac.backoffs);
+      sum(m::kMacRetries, mac.retries);
+      sum(m::kMacCtsTimeouts, mac.cts_timeouts);
+      sum(m::kMacNavDeferrals, mac.nav_deferrals);
+      sum(m::kMacUnicastFailures, mac.unicast_failures);
+      sum(m::kMacQueueDrops, mac.queue_drops);
+      sum(m::kMacTxDroppedRadioOff, mac.tx_dropped_radio_off);
+      queue_high_water = std::max<std::uint64_t>(queue_high_water,
+                                                 csma.queue_high_water());
+      backoff_slots.merge(mac.backoff_slots);
+
+      const net::NodeStats& net = network.node(id).stats();
+      sum(m::kNetTxData, net.data_tx);
+      sum(m::kNetTxControl, net.control_tx);
+      sum(m::kNetDelivered, net.delivered);
+    }
+    for (const auto& [name, value] : want) {
+      largest_sum[name] = std::max(largest_sum[name], value);
+    }
+    want[std::string(m::kMacQueueHighWater)] = queue_high_water;
+    want[std::string(m::kPhyTransmissions)] =
+        network.channel().stats().transmissions;
+    want[std::string(m::kPhyDeliveries)] = network.channel().stats().deliveries;
+    ASSERT_FALSE(backoff_slots.empty());
+    obs::MetricRegistry slots;
+    backoff_slots.snapshot_into(slots, m::kMacBackoffSlots);
+    for (const obs::Metric& entry : slots.snapshot()) {
+      want[entry.name] = entry.value;
+    }
+
+    std::vector<std::string> names;
+    std::size_t checked = 0;
+    for (const obs::Metric& entry : reg.snapshot()) {
+      names.push_back(entry.name);
+      const std::string_view name = entry.name;
+      if (!name.starts_with("phy.") && !name.starts_with("mac.") &&
+          !name.starts_with("net.tx_") && name != m::kNetDelivered) {
+        continue;
+      }
+      const auto it = want.find(name);
+      ASSERT_NE(it, want.end()) << name;
+      EXPECT_EQ(entry.value, it->second) << name;
+      ++checked;
+    }
+    EXPECT_EQ(checked, want.size());
+    EXPECT_EQ(names, std::vector<std::string>(pinned_names[c].begin(),
+                                              pinned_names[c].end()));
+  }
+  for (const auto& [name, value] : largest_sum) {
+    const bool expect_reached =
+        std::find(unreached.begin(), unreached.end(), name) == unreached.end();
+    EXPECT_EQ(value > 0, expect_reached) << name;
+  }
 }
 
 TEST(ObsIntegration, ScenarioMetricsDeterministicAcrossRuns) {

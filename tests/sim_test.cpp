@@ -1,8 +1,13 @@
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -10,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_common.hpp"
+#include "geom/placement.hpp"
 #include "sim/replication.hpp"
 #include "sim/runner.hpp"
 #include "sim/sweep.hpp"
@@ -137,6 +143,98 @@ TEST(SimInstance, RadioCalibratedToConfiguredRange) {
   config.range_m = 180.0;
   SimInstance sim(config);
   EXPECT_NEAR(sim.network().channel().nominal_range_m(), 180.0, 1.0);
+}
+
+// Per-node objects are built in the channel's layout order (grid cells
+// row-major at the interference range, ids ascending inside a cell), so
+// each kind of object ascends in address along that order. The instance is
+// built and destroyed on a fresh thread, whose pools start empty and hand
+// out chunks in ascending address order.
+TEST(SimInstance, NodeObjectsAreLaidOutInGridCellOrder) {
+  ScenarioConfig config = small_scenario(ProtocolKind::Ssaf);
+  config.nodes = 400;
+  config.range_m = 100.0;
+  config.width_m = 1500.0;
+  config.height_m = 1500.0;
+
+  struct Seen {
+    std::vector<std::uint32_t> order;
+    std::vector<geom::Vec2> positions;  ///< by id
+    double cell_m = 0.0;
+    /// Addresses of transceiver, node, MAC and protocol, by id.
+    std::vector<std::array<std::uintptr_t, 4>> addresses;
+  } seen;
+  const auto observe = [&config, &seen]() {
+    SimInstance sim(config);
+    net::Network& network = sim.network();
+    const phy::Channel& channel = network.channel();
+    seen.order = channel.layout_order();
+    seen.cell_m = channel.interference_range_m();
+    for (std::uint32_t id = 0; id < network.size(); ++id) {
+      net::Node& node = network.node(id);
+      seen.positions.push_back(channel.position(id));
+      seen.addresses.push_back(
+          {reinterpret_cast<std::uintptr_t>(&channel.transceiver(id)),
+           reinterpret_cast<std::uintptr_t>(&node),
+           reinterpret_cast<std::uintptr_t>(&node.mac()),
+           reinterpret_cast<std::uintptr_t>(&node.protocol())});
+    }
+  };
+  std::exception_ptr failure;
+  std::thread([&observe, &failure]() {
+    try {
+      observe();
+    } catch (...) {
+      failure = std::current_exception();
+    }
+  }).join();
+  if (failure) std::rethrow_exception(failure);
+
+  const std::size_t n = config.nodes;
+  ASSERT_EQ(seen.positions.size(), n);
+  ASSERT_GE(config.width_m, 4 * seen.cell_m);
+  ASSERT_GE(config.height_m, 4 * seen.cell_m);
+
+  // Placement still decides every id's position.
+  des::Rng placement_rng = des::Rng(config.seed).fork("placement");
+  const geom::Terrain terrain(config.width_m, config.height_m);
+  const std::vector<geom::Vec2> placed =
+      geom::place_uniform(terrain, n, placement_rng);
+  for (std::uint32_t id = 0; id < n; ++id) {
+    EXPECT_EQ(seen.positions[id].x, placed[id].x) << id;
+    EXPECT_EQ(seen.positions[id].y, placed[id].y) << id;
+  }
+
+  // The order is a permutation of the ids sorted by (row-major cell, id).
+  const auto cols =
+      static_cast<std::size_t>(std::ceil(config.width_m / seen.cell_m));
+  const auto rows =
+      static_cast<std::size_t>(std::ceil(config.height_m / seen.cell_m));
+  auto cell_of = [&](std::uint32_t id) {
+    const geom::Vec2 p = seen.positions[id];
+    const auto col =
+        std::min(static_cast<std::size_t>(p.x / seen.cell_m), cols - 1);
+    const auto row =
+        std::min(static_cast<std::size_t>(p.y / seen.cell_m), rows - 1);
+    return row * cols + col;
+  };
+  std::vector<std::uint32_t> want(n);
+  for (std::uint32_t id = 0; id < n; ++id) want[id] = id;
+  std::sort(want.begin(), want.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return std::pair(cell_of(a), a) < std::pair(cell_of(b), b);
+  });
+  ASSERT_EQ(seen.order, want);
+
+  const char* const kinds[] = {"transceiver", "node", "mac", "protocol"};
+  for (std::size_t k = 0; k < 4; ++k) {
+    std::size_t i = 1;
+    while (i < n && seen.addresses[seen.order[i - 1]][k] <
+                        seen.addresses[seen.order[i]][k]) {
+      ++i;
+    }
+    EXPECT_EQ(i, n) << kinds[k] << " addresses stop ascending at layout index "
+                    << i;
+  }
 }
 
 // Compare two summaries bit-exactly (NaN-safe): determinism means identical
