@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/contracts.hpp"
 
@@ -16,8 +17,11 @@ SpatialGrid::SpatialGrid(const Terrain& terrain, double cell_size,
           1, static_cast<std::size_t>(std::ceil(terrain.height() / cell_size)))),
       width_(terrain.width()),
       height_(terrain.height()),
-      positions_(positions) {
+      positions_(positions),
+      index_of_(positions.size()) {
   RRNET_EXPECTS(cell_size > 0.0);
+  // Until the first rebuild, positions are in id order.
+  std::iota(index_of_.begin(), index_of_.end(), 0u);
   cell_of_.resize(positions_.size());
   for (std::uint32_t id = 0; id < positions_.size(); ++id) {
     RRNET_EXPECTS(terrain.contains(positions_[id]));
@@ -37,16 +41,21 @@ std::size_t SpatialGrid::cell_index(Vec2 p) const noexcept {
 
 void SpatialGrid::rebuild_csr() {
   // Counting sort over current cells; filling in ascending id order keeps
-  // every cell span sorted by id.
+  // every cell span sorted by id. Positions move to their new CSR slots.
   const std::size_t cells = cols_ * rows_;
   offsets_.assign(cells + 1, 0);
   ids_.resize(positions_.size());
   for (const std::uint32_t c : cell_of_) ++offsets_[c + 1];
   for (std::size_t c = 1; c <= cells; ++c) offsets_[c] += offsets_[c - 1];
   std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  std::vector<Vec2> positions(positions_.size());
   for (std::uint32_t id = 0; id < positions_.size(); ++id) {
-    ids_[cursor[cell_of_[id]]++] = id;
+    const std::uint32_t k = cursor[cell_of_[id]]++;
+    ids_[k] = id;
+    positions[k] = positions_[index_of_[id]];
+    index_of_[id] = k;
   }
+  positions_.swap(positions);
   base_cell_of_ = cell_of_;
 }
 
@@ -60,12 +69,15 @@ void SpatialGrid::compact() {
 
 void SpatialGrid::query(Vec2 center, double radius,
                         std::vector<std::uint32_t>& out) const {
-  query_unsorted(center, radius, out);
+  static thread_local std::vector<Hit> hits;
+  query_hits(center, radius, hits);
+  out.clear();
+  for (const Hit& hit : hits) out.push_back(hit.id);
   std::sort(out.begin(), out.end());
 }
 
-void SpatialGrid::query_unsorted(Vec2 center, double radius,
-                                 std::vector<std::uint32_t>& out) const {
+void SpatialGrid::query_hits(Vec2 center, double radius,
+                             std::vector<Hit>& out) const {
   out.clear();
   const double r_sq = radius * radius;
   const auto col_lo = static_cast<std::int64_t>(
@@ -87,20 +99,12 @@ void SpatialGrid::query_unsorted(Vec2 center, double radius,
     const std::size_t base = static_cast<std::size_t>(row) * cols_;
     for (std::int64_t col = col_min; col <= col_max; ++col) {
       const std::size_t c = base + static_cast<std::size_t>(col);
-      const std::uint32_t* it = ids_.data() + offsets_[c];
-      const std::uint32_t* end = ids_.data() + offsets_[c + 1];
-      if (clean) {
-        for (; it != end; ++it) {
-          if (distance_sq(positions_[*it], center) <= r_sq) out.push_back(*it);
-        }
-      } else {
-        // Base spans are stale: an id counts only if it still lives here.
-        for (; it != end; ++it) {
-          if (cell_of_[*it] == c &&
-              distance_sq(positions_[*it], center) <= r_sq) {
-            out.push_back(*it);
-          }
-        }
+      for (std::uint32_t k = offsets_[c]; k < offsets_[c + 1]; ++k) {
+        // Base spans are stale while moves are pending: an id counts only
+        // if it still lives here.
+        if (!clean && cell_of_[ids_[k]] != c) continue;
+        const double d_sq = distance_sq(positions_[k], center);
+        if (d_sq <= r_sq) out.push_back({d_sq, ids_[k]});
       }
     }
   }
@@ -109,10 +113,9 @@ void SpatialGrid::query_unsorted(Vec2 center, double radius,
     // point within `radius` lies inside the clamped cell rect, so the
     // distance test alone decides membership.
     for (const std::uint32_t id : dislodged_) {
-      if (cell_of_[id] != base_cell_of_[id] &&
-          distance_sq(positions_[id], center) <= r_sq) {
-        out.push_back(id);
-      }
+      if (cell_of_[id] == base_cell_of_[id]) continue;
+      const double d_sq = distance_sq(positions_[index_of_[id]], center);
+      if (d_sq <= r_sq) out.push_back({d_sq, id});
     }
     scan_debt_ += dislodged_.size();
   }
@@ -120,7 +123,7 @@ void SpatialGrid::query_unsorted(Vec2 center, double radius,
 
 void SpatialGrid::update_position(std::uint32_t id, Vec2 new_position) {
   RRNET_EXPECTS(id < positions_.size());
-  positions_[id] = new_position;
+  positions_[index_of_[id]] = new_position;
   const auto new_cell = static_cast<std::uint32_t>(cell_index(new_position));
   if (new_cell == cell_of_[id]) return;
   cell_of_[id] = new_cell;
@@ -141,7 +144,7 @@ void SpatialGrid::update_position(std::uint32_t id, Vec2 new_position) {
 
 Vec2 SpatialGrid::position(std::uint32_t id) const {
   RRNET_EXPECTS(id < positions_.size());
-  return positions_[id];
+  return positions_[index_of_[id]];
 }
 
 }  // namespace rrnet::geom

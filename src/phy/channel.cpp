@@ -26,8 +26,8 @@ Channel::Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
   const std::size_t n = receiver_table_.size();
   RRNET_EXPECTS(n > 0);
   frame_counters_.assign(n, 0);
-  // Built in layout order, so the pools hand radio neighbours (and their
-  // SignalMap blocks) nearby addresses.
+  // Built in layout order, so the pools hand radio neighbours nearby
+  // addresses.
   transceivers_.resize(n);
   for (const std::uint32_t id : layout_order_) {
     transceivers_[id] = std::make_unique<Transceiver>(id, params_);
@@ -131,8 +131,8 @@ void Channel::advance_transmission(std::uint32_t slot) {
     const bool has_start = tx.next_start < tx.receivers.size();
     const bool has_end = tx.next_end < tx.receivers.size();
     if (!has_start && !has_end) break;
-    // End times are spelled `arrival + duration` everywhere (here and in
-    // signal_arrives below) so the merge compares bitwise-equal doubles.
+    // End times are spelled `arrival + duration` in both places below, so
+    // the merge compares bitwise-equal doubles.
     const bool do_start =
         has_start &&
         (!has_end || tx.receivers[tx.next_start].arrival <=
@@ -152,24 +152,34 @@ void Channel::advance_transmission(std::uint32_t slot) {
       return;
     }
     if (do_start) {
+      prefetch_ahead(tx, tx.next_start);
       PendingRx& rx = tx.receivers[tx.next_start++];
       Transceiver& trx = *transceivers_[rx.rx_id];
       rx.could_decode = !trx.is_off() && rx.power_mw >= rx_threshold_mw_;
-      // Remember the receiver's slot: the matching end below erases in
-      // O(1) instead of re-finding the frame id.
-      rx.slot = trx.signal_arrives(tx.frame, rx.power_mw, now,
-                                   rx.arrival + tx.duration);
+      rx.token = trx.signal_arrives(tx.frame, rx.power_mw, now);
     } else {
+      prefetch_ahead(tx, tx.next_end);
       const PendingRx& rx = tx.receivers[tx.next_end++];
       Transceiver& trx = *transceivers_[rx.rx_id];
       const std::uint64_t decoded_before = trx.stats().frames_decoded;
-      trx.signal_ends(tx.frame, rx.slot, now);
+      trx.signal_ends(tx.frame, rx.token, rx.power_mw, now);
       if (rx.could_decode && trx.stats().frames_decoded > decoded_before) {
         ++stats_.deliveries;
       }
     }
   }
   release_transmission(slot);
+}
+
+void Channel::prefetch_ahead(const Transmission& tx,
+                             std::size_t i) const noexcept {
+  const std::vector<PendingRx>& rx = tx.receivers;
+  if (i + kPrefetchAhead < rx.size()) {
+    __builtin_prefetch(transceivers_[rx[i + kPrefetchAhead].rx_id].get());
+  }
+  if (i + 2 * kPrefetchAhead < rx.size()) {
+    __builtin_prefetch(&transceivers_[rx[i + 2 * kPrefetchAhead].rx_id]);
+  }
 }
 
 std::uint32_t Channel::acquire_transmission() {

@@ -113,6 +113,12 @@ class Channel {
   /// slot when done). transmit() always schedules the first arrival: the
   /// sending MAC is still mid-handler when transmit() returns.
   void advance_transmission(std::uint32_t slot);
+  /// The receiver list is complete when the frame starts, so each cursor
+  /// fetches ahead of itself: receiver i + k's transceiver, and receiver
+  /// i + 2k's pointer to it, which the fetch for i + k reads later.
+  /// Prefetches change no result.
+  void prefetch_ahead(const Transmission& tx, std::size_t i) const noexcept;
+  static constexpr std::size_t kPrefetchAhead = 6;
   std::uint32_t acquire_transmission();
   void release_transmission(std::uint32_t slot);
 

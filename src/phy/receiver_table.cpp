@@ -1,6 +1,9 @@
 #include "phy/receiver_table.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <tuple>
 
 #include "util/contracts.hpp"
 
@@ -95,18 +98,47 @@ std::span<const ReceiverTable::Neighbour> ReceiverTable::neighbours(
 
 void ReceiverTable::build(std::uint32_t sender,
                           std::vector<Neighbour>& out) const {
-  const geom::Vec2 origin = grid_.position(sender);
-  static thread_local std::vector<std::uint32_t> ids;
-  grid_.query_unsorted(origin, range_m_, ids);
-  out.clear();
-  for (const std::uint32_t id : ids) {
-    if (id == sender) continue;
-    out.push_back({geom::distance(origin, grid_.position(id)), id});
+  // Thread-local like the scratch list in neighbours().
+  static thread_local std::vector<geom::SpatialGrid::Hit> hits;
+  static thread_local std::vector<Neighbour> unsorted;
+  static thread_local std::vector<std::uint32_t> bucket_start;
+  grid_.query_hits(grid_.position(sender), range_m_, hits);
+  unsorted.clear();
+  for (const geom::SpatialGrid::Hit& hit : hits) {
+    // geom::distance bit for bit: (a - b) and (b - a) square alike.
+    if (hit.id != sender) {
+      unsorted.push_back({std::sqrt(hit.distance_sq), hit.id});
+    }
   }
-  std::sort(out.begin(), out.end(), [](const Neighbour& a, const Neighbour& b) {
-    return a.distance_m != b.distance_m ? a.distance_m < b.distance_m
-                                        : a.id < b.id;
-  });
+  // Sort by (distance, id) in linear expected time: scatter into one more
+  // bucket than there are entries, keyed by distance, then insertion-sort.
+  // Each floating-point step of the key rounds monotonically, so the key
+  // never falls as the distance grows and no entry moves past its bucket;
+  // the clamp takes in a distance one ulp past the range.
+  const std::size_t buckets = unsorted.size() + 1;
+  const double scale =
+      range_m_ > 0.0 ? static_cast<double>(buckets) / range_m_ : 0.0;
+  const auto bucket = [&](double distance_m) {
+    return std::min(buckets - 1,
+                    static_cast<std::size_t>(distance_m * scale));
+  };
+  bucket_start.assign(buckets, 0);
+  for (const Neighbour& nb : unsorted) ++bucket_start[bucket(nb.distance_m)];
+  std::exclusive_scan(bucket_start.begin(), bucket_start.end(),
+                      bucket_start.begin(), 0u);
+  out.resize(unsorted.size());
+  for (const Neighbour& nb : unsorted) {
+    out[bucket_start[bucket(nb.distance_m)]++] = nb;
+  }
+  const auto before = [](const Neighbour& a, const Neighbour& b) {
+    return std::tie(a.distance_m, a.id) < std::tie(b.distance_m, b.id);
+  };
+  for (std::size_t i = 1; i < out.size(); ++i) {
+    const Neighbour nb = out[i];
+    std::size_t j = i;
+    for (; j > 0 && before(nb, out[j - 1]); --j) out[j] = out[j - 1];
+    out[j] = nb;
+  }
 }
 
 }  // namespace rrnet::phy

@@ -6,9 +6,10 @@
 // the power the propagation model gives at that distance (a fresh
 // des::LinkRng draw under fading) and the arrival time `now + d / c`. So
 // the table keeps the geometric part per sender. A sender's first fill
-// builds its list (grid query, one distance per candidate, sort by
-// (distance, id)) and stores it in one arena; later fills only evaluate
-// the model per entry. A list that does not fit the arena's byte budget is
+// builds its list (one grid query returning squared distances, a square
+// root per receiver, and a linear-time bucket pass into (distance, id)
+// order) and stores it in one arena; later fills only evaluate the model
+// per entry. A list that does not fit the arena's byte budget is
 // built into scratch on every fill, and from the first set_position on the
 // table stores nothing.
 //
@@ -26,7 +27,6 @@
 #include "des/time.hpp"
 #include "geom/spatial_grid.hpp"
 #include "phy/propagation.hpp"
-#include "phy/signal_map.hpp"
 
 namespace rrnet::phy {
 
@@ -35,8 +35,9 @@ struct PendingRx {
   des::Time arrival;   ///< absolute signal-start time at this receiver
   double power_mw;     ///< drawn from the model at transmit time (linear)
   std::uint32_t rx_id;
-  /// The receiver's SignalMap slot, set at signal start.
-  std::uint32_t slot = SignalMap::kNoSlot;
+  /// Transceiver::signal_arrives' token, set at signal start and handed
+  /// back at signal end.
+  std::uint32_t token = 0;
   /// Evaluated at signal start (radio state then).
   bool could_decode = false;
 };

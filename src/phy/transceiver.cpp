@@ -10,7 +10,7 @@ bool Transceiver::medium_busy() const noexcept {
   if (state_ == RadioState::Tx || (state_ == RadioState::Rx && has_lock_)) {
     return true;
   }
-  return signals_.total_power_mw() >= cs_threshold_mw_;
+  return rx_power_mw_ >= cs_threshold_mw_;
 }
 
 void Transceiver::recompute_busy() {
@@ -25,11 +25,11 @@ void Transceiver::recompute_busy() {
 
 double Transceiver::interference_mw_excluding_own(
     double own_mw) const noexcept {
-  // The SoA map's running total makes exclusion a single subtraction, so
-  // SINR evaluation is O(1) even when §3 floods pile tens of concurrent
-  // signals onto a receiver. Clamp: subtracting the sole signal's own
-  // power from the incremental total can round a hair below zero.
-  const double others_mw = signals_.total_power_mw() - own_mw;
+  // The running total makes exclusion a single subtraction, so SINR
+  // evaluation is O(1) even when §3 floods pile tens of concurrent signals
+  // onto a receiver. Clamp: subtracting the sole signal's own power from
+  // the incremental total can round a hair below zero.
+  const double others_mw = rx_power_mw_ - own_mw;
   return noise_floor_mw_ + (others_mw > 0.0 ? others_mw : 0.0);
 }
 
@@ -65,16 +65,16 @@ void Transceiver::end_transmit(std::uint64_t frame_id, des::Time /*now*/) {
 }
 
 std::uint32_t Transceiver::signal_arrives(const Airframe& frame,
-                                          double power_mw, des::Time now,
-                                          des::Time end_time) {
+                                          double power_mw, des::Time now) {
   ++stats_.signals_arrived;
   if (state_ == RadioState::Off) {
     ++stats_.frames_while_off;
     RRNET_TRACE_EVENT(obs::EventKind::PhyDrop, now, node_id_, frame.id,
                       obs::DropReason::RadioOff);
-    return SignalMap::kNoSlot;
+    return kStaleToken;
   }
-  const std::uint32_t slot = signals_.insert(frame.id, power_mw, end_time);
+  ++signals_on_air_;
+  rx_power_mw_ += power_mw;
 
   const bool decodable = power_mw >= rx_threshold_mw_;
   if (decodable && state_ == RadioState::Idle && !has_lock_) {
@@ -102,7 +102,7 @@ std::uint32_t Transceiver::signal_arrives(const Airframe& frame,
   }
 
   // New interference may corrupt the frame currently being decoded. The
-  // locked signal sits in the map at exactly locked_power_mw_ (the same
+  // locked signal is in the total at exactly locked_power_mw_ (the same
   // converted value), so excluding it by value is exact.
   if (has_lock_ && !lock_corrupted_ && locked_frame_ != frame.id) {
     if (!sinr_clears_threshold(locked_power_mw_)) {
@@ -110,15 +110,22 @@ std::uint32_t Transceiver::signal_arrives(const Airframe& frame,
     }
   }
   recompute_busy();
-  return slot;
+  return epoch_;
 }
 
-void Transceiver::signal_ends(const Airframe& frame, std::uint32_t slot,
-                              des::Time now) {
-  if (!signals_.slot_matches(slot, frame.id)) {
-    return;  // arrived while off, or cleared by an off/on cycle since
+void Transceiver::signal_ends(const Airframe& frame, std::uint32_t token,
+                              double power_mw, des::Time now) {
+  if (token != epoch_) {
+    return;  // arrived while off, or dropped by an off/on cycle since
   }
-  signals_.erase_slot(slot);
+  if (--signals_on_air_ == 0) {
+    rx_power_mw_ = 0.0;  // exact: no residue survives a quiet medium
+  } else {
+    rx_power_mw_ -= power_mw;
+    // -= of previously += values can round below zero on the last few
+    // signals; the reset above restores exact zero.
+    if (rx_power_mw_ < 0.0) rx_power_mw_ = 0.0;
+  }
 
   if (has_lock_ && locked_frame_ == frame.id) {
     const bool ok = !lock_corrupted_;
@@ -148,17 +155,20 @@ void Transceiver::turn_off() {
   if (state_ == RadioState::Off) return;
   const bool was_tx = state_ == RadioState::Tx;
   const std::uint64_t tx_frame = tx_frame_;
-  // Dropping the signal set severs every in-flight reception. Only the
-  // locked frame still owes a terminal outcome — every other signal got
-  // its drop counter at arrival — so account the aborted decode here or
-  // the conservation invariant (decoded + drops == arrived) leaks.
+  // Dropping the signals on the air severs every in-flight reception. Only
+  // the locked frame still owes a terminal outcome — every other signal
+  // got its drop counter at arrival — so account the aborted decode here
+  // or the conservation invariant (decoded + drops == arrived) leaks.
   if (has_lock_) {
     ++stats_.frames_aborted_off;
     RRNET_TRACE_EVENT(obs::EventKind::PhyDrop,
                       clock_ != nullptr ? clock_->now() : 0.0, node_id_,
                       locked_frame_, obs::DropReason::RadioOff);
   }
-  signals_.clear();
+  signals_on_air_ = 0;
+  rx_power_mw_ = 0.0;
+  ++epoch_;  // the dropped signals' ends now carry a stale token
+  RRNET_ASSERT(epoch_ != kStaleToken);
   has_lock_ = false;
   lock_corrupted_ = false;
   set_state(RadioState::Off);

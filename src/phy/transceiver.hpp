@@ -11,8 +11,8 @@
 #include "des/time.hpp"
 #include "phy/energy.hpp"
 #include "phy/radio.hpp"
-#include "phy/signal_map.hpp"
 #include "phy/units.hpp"
+#include "util/pool.hpp"
 
 namespace rrnet::phy {
 
@@ -57,16 +57,11 @@ class Channel;
 class Transceiver : public util::PoolAllocated {
  public:
   Transceiver(std::uint32_t node_id, const RadioParams& params)
-      : node_id_(node_id),
-        params_(&params),
-        // Linear-domain constants, converted once: carrier sense, SINR
-        // gating, and noise addition run per signal event, and a pow()
-        // per comparison is the difference between O(1) bookkeeping and
-        // a transcendental call dominating the dense-flood hot path.
-        cs_threshold_mw_(dbm_to_mw(params.cs_threshold_dbm)),
+      : cs_threshold_mw_(dbm_to_mw(params.cs_threshold_dbm)),
         rx_threshold_mw_(dbm_to_mw(params.rx_threshold_dbm)),
         noise_floor_mw_(dbm_to_mw(params.noise_floor_dbm)),
-        sinr_threshold_ratio_(db_to_ratio(params.sinr_threshold_db)) {}
+        sinr_threshold_ratio_(db_to_ratio(params.sinr_threshold_db)),
+        node_id_(node_id) {}
 
   Transceiver(const Transceiver&) = delete;
   Transceiver& operator=(const Transceiver&) = delete;
@@ -85,10 +80,10 @@ class Transceiver : public util::PoolAllocated {
   [[nodiscard]] bool medium_busy() const noexcept;
 
   /// Total received power currently on the air at this node (mW); exactly
-  /// 0.0 on a quiet medium (SignalMap resets the incremental sum whenever
-  /// the signal set empties, so carrier sense cannot drift).
+  /// 0.0 on a quiet medium (the incremental sum is reset whenever the last
+  /// signal ends, so carrier sense cannot drift).
   [[nodiscard]] double total_rx_power_mw() const noexcept {
-    return signals_.total_power_mw();
+    return rx_power_mw_;
   }
 
   /// Power the radio down: ongoing receptions are lost, and a transmission
@@ -114,49 +109,69 @@ class Transceiver : public util::PoolAllocated {
  private:
   friend class Channel;
 
+  /// The token signal_arrives returns while the radio is off; no epoch
+  /// ever takes this value.
+  static constexpr std::uint32_t kStaleToken = ~0u;
+
   // Channel-driven events.
   void begin_transmit(std::uint64_t frame_id);
   void end_transmit(std::uint64_t frame_id, des::Time now);
-  /// Returns the signal's slot (SignalMap::kNoSlot when the radio is off);
-  /// the channel hands it back to signal_ends so neither endpoint scans.
-  /// Power is in mW — the whole arrival path (threshold, SINR, map) runs
-  /// in the linear domain; dBm reappears only in the decode-time RxInfo.
+  /// Returns a token for the signal: the current off-epoch, or kStaleToken
+  /// when the radio is off. The channel hands it back to signal_ends.
+  /// Power is in mW — the whole arrival path (threshold, SINR, running
+  /// total) runs in the linear domain; dBm reappears only in the
+  /// decode-time RxInfo.
   std::uint32_t signal_arrives(const Airframe& frame, double power_mw,
-                               des::Time now, des::Time end_time);
-  /// `slot` is the value signal_arrives returned; stale slots (radio was
-  /// cycled off in between) are detected by frame-id mismatch and ignored.
-  void signal_ends(const Airframe& frame, std::uint32_t slot, des::Time now);
+                               des::Time now);
+  /// `token` is the value signal_arrives returned and `power_mw` the power
+  /// it was given. A token from before the last turn_off (or from while
+  /// off) names a signal that turn_off already dropped, so it is ignored.
+  void signal_ends(const Airframe& frame, std::uint32_t token,
+                   double power_mw, des::Time now);
 
   /// Switch radio state, accounting the dwell time of the old state.
   void set_state(RadioState next);
   void recompute_busy();
   /// Noise floor plus everything on the air except a signal of power
-  /// `own_mw`. O(1): the SoA map keeps the running total, so exclusion is
-  /// one subtraction instead of the AoS scan this replaces.
+  /// `own_mw`. O(1): one subtraction from the running total.
   [[nodiscard]] double interference_mw_excluding_own(double own_mw) const noexcept;
   /// SINR gate in the linear domain (one divide; no pow/log per event).
   [[nodiscard]] bool sinr_clears_threshold(double signal_mw) const noexcept;
 
-  std::uint32_t node_id_;
-  const RadioParams* params_;
+  // Hot fields first: every signal start and end reads the thresholds,
+  // the radio state and the in-air scalars. The thresholds are
+  // linear-domain constants, converted once: carrier sense, SINR gating,
+  // and noise addition run per signal event, and a pow() per comparison is
+  // the difference between O(1) bookkeeping and a transcendental call
+  // dominating the dense-flood hot path.
   double cs_threshold_mw_;
   double rx_threshold_mw_;
   double noise_floor_mw_;
   double sinr_threshold_ratio_;
   RadioListener* listener_ = nullptr;
+  // Signals on the air here, as three scalars: their summed power, how
+  // many there are, and the off-epoch they arrived in. turn_off drops them
+  // all by zeroing the first two and bumping the epoch, so an end whose
+  // token is not the current epoch belongs to a signal already dropped.
+  // Frame ids are never reused, so a per-signal slot could tell no more.
+  double rx_power_mw_ = 0.0;
+  std::uint32_t signals_on_air_ = 0;
+  std::uint32_t epoch_ = 0;
+
+  std::uint32_t node_id_;
   RadioState state_ = RadioState::Idle;
-  SignalMap signals_;
+  bool last_busy_ = false;
   // Locked (being-decoded) frame bookkeeping.
-  std::uint64_t locked_frame_ = 0;
   bool has_lock_ = false;
   bool lock_corrupted_ = false;
+  std::uint64_t locked_frame_ = 0;
   double locked_power_mw_ = 0.0;  ///< RxInfo converts to dBm at decode
   des::Time locked_start_ = 0.0;
+  TransceiverStats stats_;
+  // Cold: the transmit and energy fields.
   std::uint64_t tx_frame_ = 0;
   const des::Scheduler* clock_ = nullptr;
   std::optional<EnergyMeter> meter_;
-  bool last_busy_ = false;
-  TransceiverStats stats_;
 };
 
 }  // namespace rrnet::phy

@@ -1,10 +1,9 @@
 // Fixed-capacity free-list pools for the simulator's hot allocations.
 //
-// Packet buffers (net::PacketBuffer), per-receiver signal maps, the nodes
-// of the pooled containers and the node-stack objects come from a
-// thread-local free-list arena instead of the heap, so in steady state an
-// allocation is a pointer pop and a release a pointer push. Key
-// properties:
+// Packet buffers (net::PacketBuffer), the nodes of the pooled containers
+// and the node-stack objects come from a thread-local free-list arena
+// instead of the heap, so in steady state an allocation is a pointer pop
+// and a release a pointer push. Key properties:
 //
 //  * Fallback, never failure: when the arena is exhausted, chunks come
 //    from operator new. Every chunk carries a header naming its owner
@@ -158,7 +157,7 @@ class PayloadPool {
 };
 
 /// The calling thread's pool keyed by type T: one chunk size per key, so
-/// each pooled container node type and phy::SignalMap get their own.
+/// each pooled container node type gets its own.
 template <typename T>
 PayloadPool& payload_pool() {
   thread_local PayloadPool pool;

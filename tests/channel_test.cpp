@@ -211,6 +211,41 @@ TEST_F(ChannelTest, TurnOffWithoutLockAbortsNothing) {
   EXPECT_EQ(channel_->transceiver(1).stats().frames_aborted_off, 0u);
 }
 
+// turn_off drops every signal on the air at once. The end of a dropped
+// signal must leave alone the signals that arrived after the off/on cycle:
+// the in-air total keeps the newer signal's power until that one ends.
+TEST_F(ChannelTest, StaleEndAfterOffOnCycleLeavesNewSignalsAlone) {
+  build({0.0, 200.0, 300.0});
+  Transceiver& rx = channel_->transceiver(1);
+  channel_->transmit(frame_from(0, 1000));  // A: on the air until ~8.2 ms
+  scheduler_.schedule_at(0.001, [&]() {  // mid-airtime: node 1 is on A
+    rx.turn_off();
+    rx.turn_on();
+    // B reaches node 1 while A is still on the air, and outlasts it.
+    EXPECT_TRUE(channel_->transmit(frame_from(2, 1000)));
+  });
+  double after_b_arrived = -1.0;
+  double after_a_ended = -1.0;
+  scheduler_.schedule_at(0.002, [&]() {
+    after_b_arrived = rx.total_rx_power_mw();
+  });
+  scheduler_.schedule_at(0.0087, [&]() {  // A has ended, B has not
+    after_a_ended = rx.total_rx_power_mw();
+  });
+  scheduler_.run();
+  EXPECT_GT(after_b_arrived, 0.0);
+  EXPECT_EQ(after_a_ended, after_b_arrived);
+  EXPECT_EQ(rx.total_rx_power_mw(), 0.0);
+  ASSERT_EQ(captures_[1].received.size(), 1u);
+  EXPECT_EQ(captures_[1].received[0].first.sender, 2u);
+  const TransceiverStats& stats = rx.stats();
+  EXPECT_EQ(stats.signals_arrived, 2u);
+  EXPECT_EQ(stats.frames_decoded + stats.frames_collided +
+                stats.frames_missed_busy + stats.frames_below_threshold +
+                stats.frames_while_off + stats.frames_aborted_off,
+            stats.signals_arrived);
+}
+
 // Regression for carrier-sense drift: the cumulative in-air power at a
 // receiver is maintained incrementally across arrivals/expiries; after
 // heavy overlapping-signal churn the medium must read exactly idle again
@@ -302,7 +337,8 @@ TEST_F(ChannelTest, FrameIdsAreUnique) {
 //
 // Differential fuzz: every fill, whether it reuses a stored list, stores a
 // new one or builds into scratch (over budget, or after a move), must equal
-// an O(n) pass over all nodes, bit for bit.
+// an O(n) pass over all nodes, bit for bit. Nodes are placed uniformly, or
+// on a lattice, where distances tie and some fall exactly on the range.
 
 struct LinkSetup {
   double tx_power_mw;
@@ -383,6 +419,20 @@ des::Time draw_now(des::Rng& rng) {
   }
 }
 
+/// 20 x 15 nodes 50 m apart (300, as many as the uniform placement).
+/// Many receivers share one exact distance, and with kLatticeRange some sit
+/// exactly at the range: 250 = 5 x 50, and the 3-4-5 offsets (150, 200).
+constexpr double kLatticeRange = 250.0;
+std::vector<geom::Vec2> lattice() {
+  std::vector<geom::Vec2> positions;
+  for (int row = 0; row < 15; ++row) {
+    for (int col = 0; col < 20; ++col) {
+      positions.push_back({25.0 + 50.0 * col, 25.0 + 50.0 * row});
+    }
+  }
+  return positions;
+}
+
 std::unique_ptr<PropagationModel> make_model(int kind) {
   switch (kind) {
     case 0: return std::make_unique<FreeSpace>();
@@ -396,51 +446,59 @@ TEST(ReceiverTable, DifferentialFuzzAgainstBruteForce) {
   constexpr std::uint32_t kNodes = 300;
   constexpr std::uint32_t kSenders = 40;  // so most senders fill repeatedly
   const geom::Terrain terrain(1000.0, 1000.0);
-  for (const std::uint64_t seed : {21u, 22u, 23u}) {
-    for (int kind = 0; kind < 3; ++kind) {
-      SCOPED_TRACE(::testing::Message()
-                   << "seed=" << seed << " model=" << kind);
-      des::Rng rng(seed);
-      std::vector<geom::Vec2> positions =
-          geom::place_uniform(terrain, kNodes, rng);
-      const auto model = make_model(kind);
-      const LinkSetup link = calibrate(*model, terrain);
-      if (kind == 1) {
-        const auto& two_ray = static_cast<const TwoRayGround&>(*model);
-        ASSERT_LT(two_ray.crossover_distance_m(), link.range_m);
-      }
-      const des::Rng link_rng(seed * 7 + 1);
-      ReceiverTable table(terrain, positions, link.range_m, *model,
-                          link.tx_power_mw, link.cutoff_mw, link_rng);
-      std::vector<std::uint64_t> draws(kNodes, 0);
-      std::vector<PendingRx> got;
-      // Phase 0 stores and reuses lists; phase 1 moves nodes between fills,
-      // so they enter and leave ranges and nothing is stored any more.
-      for (int phase = 0; phase < 2; ++phase) {
-        for (int op = 0; op < 400; ++op) {
-          if (phase == 1 && rng.uniform(0.0, 1.0) < 0.4) {
-            const auto id =
-                static_cast<std::uint32_t>(rng.uniform_int(0, kNodes - 1));
-            positions[id] = terrain.clamp(
-                {positions[id].x + rng.uniform(-150.0, 150.0),
-                 positions[id].y + rng.uniform(-150.0, 150.0)});
-            table.set_position(id, positions[id]);
-            continue;
-          }
-          const auto sender =
-              static_cast<std::uint32_t>(rng.uniform_int(0, kSenders - 1));
-          const des::Time now = draw_now(rng);
-          const std::uint64_t draw = ++draws[sender];
-          table.fill(sender, now, draw, got);
-          const auto want = brute_force(positions, sender, now, draw, *model,
-                                        link, link_rng.seed());
-          ASSERT_TRUE(same_receivers(got, want))
-              << "phase=" << phase << " op=" << op << " sender=" << sender;
+  for (const bool on_lattice : {false, true}) {
+    for (const std::uint64_t seed : {21u, 22u, 23u}) {
+      for (int kind = 0; kind < 3; ++kind) {
+        SCOPED_TRACE(::testing::Message() << "seed=" << seed << " model="
+                                          << kind << " lattice=" << on_lattice);
+        des::Rng rng(seed);
+        std::vector<geom::Vec2> positions =
+            on_lattice ? lattice() : geom::place_uniform(terrain, kNodes, rng);
+        ASSERT_EQ(positions.size(), kNodes);
+        const auto model = make_model(kind);
+        LinkSetup link = calibrate(*model, terrain);
+        if (on_lattice) {
+          // Shorter than the cutoff range, so mean power decides nothing.
+          ASSERT_GT(link.range_m, kLatticeRange);
+          link.range_m = kLatticeRange;
+        } else if (kind == 1) {
+          const auto& two_ray = static_cast<const TwoRayGround&>(*model);
+          ASSERT_LT(two_ray.crossover_distance_m(), link.range_m);
         }
-        if (phase == 0) {
-          EXPECT_EQ(table.stored_senders(), kSenders);
-        } else {
-          EXPECT_EQ(table.stored_senders(), 0u);
+        const des::Rng link_rng(seed * 7 + 1);
+        ReceiverTable table(terrain, positions, link.range_m, *model,
+                            link.tx_power_mw, link.cutoff_mw, link_rng);
+        std::vector<std::uint64_t> draws(kNodes, 0);
+        std::vector<PendingRx> got;
+        // Phase 0 stores and reuses lists; phase 1 moves nodes between
+        // fills, so they enter and leave ranges and nothing is stored any
+        // more.
+        for (int phase = 0; phase < 2; ++phase) {
+          for (int op = 0; op < 400; ++op) {
+            if (phase == 1 && rng.uniform(0.0, 1.0) < 0.4) {
+              const auto id =
+                  static_cast<std::uint32_t>(rng.uniform_int(0, kNodes - 1));
+              positions[id] = terrain.clamp(
+                  {positions[id].x + rng.uniform(-150.0, 150.0),
+                   positions[id].y + rng.uniform(-150.0, 150.0)});
+              table.set_position(id, positions[id]);
+              continue;
+            }
+            const auto sender =
+                static_cast<std::uint32_t>(rng.uniform_int(0, kSenders - 1));
+            const des::Time now = draw_now(rng);
+            const std::uint64_t draw = ++draws[sender];
+            table.fill(sender, now, draw, got);
+            const auto want = brute_force(positions, sender, now, draw,
+                                          *model, link, link_rng.seed());
+            ASSERT_TRUE(same_receivers(got, want))
+                << "phase=" << phase << " op=" << op << " sender=" << sender;
+          }
+          if (phase == 0) {
+            EXPECT_EQ(table.stored_senders(), kSenders);
+          } else {
+            EXPECT_EQ(table.stored_senders(), 0u);
+          }
         }
       }
     }

@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -183,10 +185,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Differential fuzz: the CSR index with epoch-deferred mobility updates
 // must agree with a brute-force O(n) reference across interleaved move /
-// query / explicit-compact operations. The mix is tuned so queries run in
-// every internal state — clean (freshly compacted), dirty (dislodged list
-// populated), and across automatic compactions triggered both by scan
-// debt (many dirty queries) and by the dislodged hard cap (move bursts).
+// query / explicit-compact operations, in both query forms. The mix is
+// tuned so queries run in every internal state — clean (freshly
+// compacted), dirty (dislodged list populated), and across automatic
+// compactions triggered both by scan debt (many dirty queries) and by the
+// dislodged hard cap (move bursts).
 TEST(SpatialGrid, DifferentialFuzzAgainstBruteForce) {
   constexpr std::uint32_t kNodes = 257;  // not a multiple of the cell grid
   constexpr int kOps = 4000;
@@ -197,6 +200,7 @@ TEST(SpatialGrid, DifferentialFuzzAgainstBruteForce) {
     SpatialGrid grid(t, 120.0, reference);
     std::size_t compactions_seen = 0;
     std::vector<std::uint32_t> got;
+    std::vector<SpatialGrid::Hit> hits;
     for (int op = 0; op < kOps; ++op) {
       const double dice = rng.uniform(0.0, 1.0);
       if (dice < 0.55) {
@@ -223,6 +227,20 @@ TEST(SpatialGrid, DifferentialFuzzAgainstBruteForce) {
         }
         EXPECT_EQ(got, expected) << "seed=" << seed << " op=" << op;
         if (got != expected) return;  // one detailed failure is enough
+        // The distance query finds the same nodes, each with its squared
+        // distance from the current position, bit for bit.
+        grid.query_hits(center, radius, hits);
+        got.clear();
+        for (const SpatialGrid::Hit& hit : hits) {
+          ASSERT_LT(hit.id, kNodes);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(hit.distance_sq),
+                    std::bit_cast<std::uint64_t>(
+                        distance_sq(reference[hit.id], center)))
+              << "seed=" << seed << " op=" << op << " id=" << hit.id;
+          got.push_back(hit.id);
+        }
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, expected) << "seed=" << seed << " op=" << op;
       } else {
         // Explicit epoch boundary.
         grid.compact();
