@@ -2,9 +2,16 @@
 
 #include <algorithm>
 
+#include "phy/channel.hpp"
 #include "util/contracts.hpp"
 
 namespace rrnet::core {
+
+RssiSpan rssi_span(const phy::Channel& channel) {
+  return {channel.params().rx_threshold_dbm,
+          channel.model().mean_rx_power_dbm(channel.params().tx_power_dbm,
+                                            0.1 * channel.nominal_range_m())};
+}
 
 UniformBackoff::UniformBackoff(des::Time lambda) : lambda_(lambda) {
   RRNET_EXPECTS(lambda > 0.0);

@@ -15,6 +15,10 @@
 #include "des/rng.hpp"
 #include "des/time.hpp"
 
+namespace rrnet::phy {
+class Channel;
+}  // namespace rrnet::phy
+
 namespace rrnet::core {
 
 /// Everything a policy may consult when computing a node's backoff delay.
@@ -37,6 +41,15 @@ struct ElectionContext {
   /// priority to become the coordinators").
   double energy_fraction = 1.0;
 };
+
+/// RSSI normalization bounds for SignalStrengthBackoff. On a channel, the
+/// weakest decodable signal arrives from the edge of the nominal range, the
+/// strongest realistic one from a neighbor a tenth of the range away.
+struct RssiSpan {
+  double min_dbm = -64.0;
+  double max_dbm = 0.0;
+};
+[[nodiscard]] RssiSpan rssi_span(const phy::Channel& channel);
 
 class BackoffPolicy {
  public:

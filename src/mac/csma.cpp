@@ -148,55 +148,7 @@ void CsmaMac::transmit_current() {
     backoff_timer_.start(params_.slot_time, [this]() { transmit_current(); });
     return;
   }
-  if (uses_rts(current_->frame)) {
-    send_rts();
-    return;
-  }
-  phy::Airframe air;
-  air.id = channel_->next_frame_id(node_id_);
-  air.sender = node_id_;
-  air.size_bytes = current_->frame.size_bytes;
-  air.frame = current_->frame;
-  if (!channel_->transmit(air)) {
-    ++stats_.tx_dropped_radio_off;
-    finish_current(false);
-    return;
-  }
-  airframe_id_ = air.id;
-  tx_is_ack_ = false;
-  tx_is_rts_ = false;
-  ++stats_.data_tx;
-  state_ = TxState::Transmitting;
-}
-
-void CsmaMac::send_rts() {
-  RRNET_ASSERT(current_.has_value());
-  const phy::RadioParams& radio = channel_->params();
-  Frame rts;
-  rts.kind = FrameKind::Rts;
-  rts.src = node_id_;
-  rts.dst = current_->frame.dst;
-  rts.sequence = current_->frame.sequence;
-  rts.size_bytes = kRtsBytes;
-  // Reserve the medium for CTS + DATA + ACK plus the three SIFS gaps.
-  rts.nav_duration = 3.0 * params_.sifs + radio.airtime(kCtsBytes) +
-                     radio.airtime(current_->frame.size_bytes) +
-                     radio.airtime(kAckBytes);
-  phy::Airframe air;
-  air.id = channel_->next_frame_id(node_id_);
-  air.sender = node_id_;
-  air.size_bytes = rts.size_bytes;
-  air.frame = rts;
-  if (!channel_->transmit(air)) {
-    ++stats_.tx_dropped_radio_off;
-    finish_current(false);
-    return;
-  }
-  airframe_id_ = air.id;
-  tx_is_ack_ = false;
-  tx_is_rts_ = true;
-  ++stats_.rts_tx;
-  state_ = TxState::Transmitting;
+  air_current(uses_rts(current_->frame));
 }
 
 void CsmaMac::transmit_data_now() {
@@ -205,28 +157,51 @@ void CsmaMac::transmit_data_now() {
   state_ = TxState::Transmitting;
   scheduler_->schedule_in(params_.sifs, [this]() {
     if (!current_.has_value()) return;
-    const phy::Transceiver& radio = channel_->transceiver(node_id_);
-    if (radio.is_off()) {
+    if (channel_->transceiver(node_id_).is_off()) {
       ++stats_.tx_dropped_radio_off;
       finish_current(false);
       return;
     }
-    phy::Airframe air;
-    air.id = channel_->next_frame_id(node_id_);
-    air.sender = node_id_;
-    air.size_bytes = current_->frame.size_bytes;
-    air.frame = current_->frame;
-    if (!channel_->transmit(air)) {
-      ++stats_.tx_dropped_radio_off;
-      finish_current(false);
-      return;
-    }
-    airframe_id_ = air.id;
-    tx_is_ack_ = false;
-    tx_is_rts_ = false;
-    ++stats_.data_tx;
-    state_ = TxState::Transmitting;
+    air_current(/*rts=*/false);
   });
+}
+
+void CsmaMac::air_current(bool rts) {
+  RRNET_ASSERT(current_.has_value());
+  if (!air(rts ? rts_for(current_->frame) : current_->frame)) {
+    ++stats_.tx_dropped_radio_off;
+    finish_current(false);
+    return;
+  }
+  tx_is_ack_ = false;
+  tx_is_rts_ = rts;
+  ++(rts ? stats_.rts_tx : stats_.data_tx);
+  state_ = TxState::Transmitting;
+}
+
+Frame CsmaMac::rts_for(const Frame& data) const {
+  const phy::RadioParams& radio = channel_->params();
+  Frame rts;
+  rts.kind = FrameKind::Rts;
+  rts.src = node_id_;
+  rts.dst = data.dst;
+  rts.sequence = data.sequence;
+  rts.size_bytes = kRtsBytes;
+  // Reserve the medium for CTS + DATA + ACK plus the three SIFS gaps.
+  rts.nav_duration = 3.0 * params_.sifs + radio.airtime(kCtsBytes) +
+                     radio.airtime(data.size_bytes) + radio.airtime(kAckBytes);
+  return rts;
+}
+
+bool CsmaMac::air(Frame frame) {
+  phy::Airframe air;
+  air.id = channel_->next_frame_id(node_id_);
+  air.sender = node_id_;
+  air.size_bytes = frame.size_bytes;
+  air.frame = std::move(frame);
+  if (!channel_->transmit(air)) return false;
+  airframe_id_ = air.id;
+  return true;
 }
 
 void CsmaMac::send_cts(const Frame& rts) {
@@ -248,13 +223,7 @@ void CsmaMac::send_cts(const Frame& rts) {
     const double consumed =
         params_.sifs + channel_->params().airtime(kCtsBytes);
     cts.nav_duration = nav > consumed ? nav - consumed : 0.0;
-    phy::Airframe air;
-    air.id = channel_->next_frame_id(node_id_);
-    air.sender = node_id_;
-    air.size_bytes = cts.size_bytes;
-    air.frame = std::move(cts);
-    if (channel_->transmit(air)) {
-      airframe_id_ = air.id;
+    if (air(cts)) {
       tx_is_ack_ = true;  // fire-and-forget, like an ACK
       ++stats_.cts_tx;
       // Reserve ourselves for the granted exchange.
@@ -340,13 +309,7 @@ void CsmaMac::send_ack(const Frame& data_frame) {
     ack.dst = src;
     ack.sequence = seq;
     ack.size_bytes = kAckBytes;
-    phy::Airframe air;
-    air.id = channel_->next_frame_id(node_id_);
-    air.sender = node_id_;
-    air.size_bytes = ack.size_bytes;
-    air.frame = std::move(ack);
-    if (channel_->transmit(air)) {
-      airframe_id_ = air.id;
+    if (air(std::move(ack))) {
       tx_is_ack_ = true;
       ++stats_.ack_tx;
     }

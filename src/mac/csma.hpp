@@ -127,7 +127,13 @@ class CsmaMac final : public phy::RadioListener, public util::PoolAllocated {
   void pause_backoff();
   void transmit_current();
   void transmit_data_now();
-  void send_rts();
+  /// Air the current exchange's next frame: its RTS, or the data frame.
+  /// A refused frame drops the exchange.
+  void air_current(bool rts);
+  [[nodiscard]] Frame rts_for(const Frame& data) const;
+  /// Stamp `frame` with a fresh frame id and put it on the air; the one
+  /// path every frame takes. Returns whether the radio took it.
+  bool air(Frame frame);
   void send_cts(const Frame& rts);
   void observe_nav(const Frame& frame, des::Time frame_end);
   [[nodiscard]] bool nav_blocked() const noexcept;

@@ -71,10 +71,6 @@ void Network::remove_observer(PacketObserver* observer) noexcept {
 
 void Network::snapshot_metrics(obs::MetricRegistry& reg) const {
   namespace m = obs::metric;
-  const phy::ChannelStats& ch = channel_->stats();
-  reg.add(m::kPhyTransmissions, ch.transmissions);
-  reg.add(m::kPhyDeliveries, ch.deliveries);
-
   // Sum the nodes' stats first and register each metric once: every
   // registry update is a sorted-name lookup. Integer sums and maxima do not
   // depend on the order, so the walk follows the layout.
@@ -91,6 +87,9 @@ void Network::snapshot_metrics(obs::MetricRegistry& reg) const {
     if (node.has_protocol()) node.protocol().snapshot_metrics(reg);
   }
 
+  // The channel-wide counts are these sums (phy::Channel::stats).
+  reg.add(m::kPhyTransmissions, phy.frames_sent);
+  reg.add(m::kPhyDeliveries, phy.frames_decoded);
   reg.add(m::kPhyTxFrames, phy.frames_sent);
   reg.add(m::kPhySignalsArrived, phy.signals_arrived);
   reg.add(m::kPhyRxDecoded, phy.frames_decoded);

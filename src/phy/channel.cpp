@@ -12,7 +12,6 @@ Channel::Channel(des::Scheduler& scheduler, const geom::Terrain& terrain,
     : scheduler_(&scheduler),
       model_(std::move(model)),
       params_(params),
-      rx_threshold_mw_(dbm_to_mw(params.rx_threshold_dbm)),
       nominal_range_(range_for_threshold(*model_, params.tx_power_dbm,
                                          params.rx_threshold_dbm,
                                          terrain.diameter())),
@@ -72,6 +71,15 @@ const Transceiver& Channel::transceiver(std::uint32_t id) const {
   return *transceivers_[id];
 }
 
+ChannelStats Channel::stats() const noexcept {
+  ChannelStats sums;
+  for (const std::uint32_t id : layout_order_) {
+    sums.transmissions += transceivers_[id]->stats().frames_sent;
+    sums.deliveries += transceivers_[id]->stats().frames_decoded;
+  }
+  return sums;
+}
+
 geom::Vec2 Channel::position(std::uint32_t id) const {
   return receiver_table_.position(id);
 }
@@ -98,7 +106,6 @@ bool Channel::transmit(const Airframe& frame) {
   const des::Time now = scheduler_->now();
   const des::Time duration = params_.airtime(frame.size_bytes);
   sender.begin_transmit(frame.id);
-  ++stats_.transmissions;
   RRNET_TRACE_EVENT(obs::EventKind::PhyTxStart, now, frame.sender, frame.id,
                     0);
   scheduler_->schedule_in(duration, [this, id = frame.id, s = frame.sender]() {
@@ -155,17 +162,12 @@ void Channel::advance_transmission(std::uint32_t slot) {
       prefetch_ahead(tx, tx.next_start);
       PendingRx& rx = tx.receivers[tx.next_start++];
       Transceiver& trx = *transceivers_[rx.rx_id];
-      rx.could_decode = !trx.is_off() && rx.power_mw >= rx_threshold_mw_;
       rx.token = trx.signal_arrives(tx.frame, rx.power_mw, now);
     } else {
       prefetch_ahead(tx, tx.next_end);
       const PendingRx& rx = tx.receivers[tx.next_end++];
       Transceiver& trx = *transceivers_[rx.rx_id];
-      const std::uint64_t decoded_before = trx.stats().frames_decoded;
       trx.signal_ends(tx.frame, rx.token, rx.power_mw, now);
-      if (rx.could_decode && trx.stats().frames_decoded > decoded_before) {
-        ++stats_.deliveries;
-      }
     }
   }
   release_transmission(slot);

@@ -29,7 +29,8 @@
 
 namespace rrnet::phy {
 
-/// Channel-wide counters (all nodes aggregated).
+/// Channel-wide counters: the transceivers' frames_sent and frames_decoded,
+/// summed.
 struct ChannelStats {
   std::uint64_t transmissions = 0;  ///< frames put on the air
   std::uint64_t deliveries = 0;     ///< successful (frame, receiver) decodes
@@ -78,7 +79,9 @@ class Channel {
     return interference_range_;
   }
 
-  [[nodiscard]] const ChannelStats& stats() const noexcept { return stats_; }
+  /// Walks every transceiver; per-run reports read the same sums from
+  /// net::Network::snapshot_metrics instead.
+  [[nodiscard]] ChannelStats stats() const noexcept;
 
   /// Fresh unique frame id for a frame sent by `sender` (MACs stamp
   /// outgoing frames with this). Ids are (sender << 32) | per-sender
@@ -131,16 +134,12 @@ class Channel {
   des::Scheduler* scheduler_;
   std::unique_ptr<PropagationModel> model_;
   RadioParams params_;
-  // Linear-domain mirror of the dBm threshold, converted once: the walker
-  // thresholds per receiver in mW, so no per-arrival pow/log.
-  double rx_threshold_mw_;
   double nominal_range_;
   double interference_range_;
   ReceiverTable receiver_table_;
   // A copy: mobility recompacts the grid's order, but objects stay put.
   std::vector<std::uint32_t> layout_order_;
   std::vector<std::unique_ptr<Transceiver>> transceivers_;  ///< by id
-  ChannelStats stats_;
   std::vector<std::uint32_t> frame_counters_;  ///< per-sender frame-id counters
   std::vector<std::unique_ptr<Transmission>> transmissions_;
   std::vector<std::uint32_t> free_transmissions_;

@@ -38,9 +38,8 @@ struct PendingRx {
   /// Transceiver::signal_arrives' token, set at signal start and handed
   /// back at signal end.
   std::uint32_t token = 0;
-  /// Evaluated at signal start (radio state then).
-  bool could_decode = false;
 };
+static_assert(sizeof(PendingRx) == 24);
 
 class ReceiverTable {
  public:

@@ -16,7 +16,7 @@ std::uint64_t rreq_key(const net::PacketRef& packet) {
 }  // namespace
 
 AodvProtocol::AodvProtocol(net::Node& node, AodvConfig config)
-    : net::Protocol(node),
+    : RouteWait::Owner(node),
       config_(config),
       rng_(node.rng().fork("aodv")),
       rreq_policy_(config.rreq_backoff),
@@ -70,14 +70,7 @@ std::uint64_t AodvProtocol::send_data(std::uint32_t target,
   net::PacketRef packet = net::make_packet(std::move(init));
 
   if (!has_route(target)) {
-    auto [it, inserted] = pending_.try_emplace(target, node().scheduler());
-    PendingDiscovery& pd = it->second;
-    if (pd.queued.size() >= config_.pending_capacity) {
-      ++stats_.pending_dropped;
-      return uid;
-    }
-    pd.queued.push_back(std::move(packet));
-    if (inserted) start_discovery(target);
+    if (!wait_.hold(target, std::move(packet))) ++stats_.pending_dropped;
     return uid;
   }
   ++stats_.data_originated;
@@ -94,15 +87,8 @@ void AodvProtocol::forward_data(net::PacketRef packet) {
   if (it == routes_.end() || !it->second.valid) {
     if (packet.origin() == node().id()) {
       // Route vanished between queueing and sending: rediscover.
-      auto [pit, inserted] = pending_.try_emplace(packet.target(),
-                                                  node().scheduler());
-      if (pit->second.queued.size() < config_.pending_capacity) {
-        const std::uint32_t target = packet.target();
-        pit->second.queued.push_back(std::move(packet));
-        if (inserted) start_discovery(target);
-      } else {
-        ++stats_.pending_dropped;
-      }
+      const std::uint32_t target = packet.target();
+      if (!wait_.hold(target, std::move(packet))) ++stats_.pending_dropped;
     } else {
       ++stats_.drops_no_route;
       broadcast_rerr(packet.target());
@@ -115,15 +101,12 @@ void AodvProtocol::forward_data(net::PacketRef packet) {
   node().send_packet(packet, it->second.next_hop, 0.0);
 }
 
-void AodvProtocol::start_discovery(std::uint32_t target) {
-  ++stats_.rreq_originated;
-  const auto pending_it = pending_.find(target);
-  RRNET_ASSERT(pending_it != pending_.end());
+bool AodvProtocol::discover(std::uint32_t target, std::uint32_t retries) {
+  if (retries == 0) ++stats_.rreq_originated;  // a retry is not a new one
   std::uint8_t ring_ttl = config_.ttl;
   if (config_.expanding_ring) {
     const std::uint32_t widened =
-        config_.ring_start_ttl +
-        config_.ring_increment * pending_it->second.retries;
+        config_.ring_start_ttl + config_.ring_increment * retries;
     ring_ttl = static_cast<std::uint8_t>(
         std::min<std::uint32_t>(widened, config_.ttl));
   }
@@ -144,37 +127,12 @@ void AodvProtocol::start_discovery(std::uint32_t target) {
   net::PacketRef rreq = net::make_packet(std::move(init));
   rreq_seen_.observe(rreq_key(rreq));
   node().send_packet(rreq, mac::kBroadcastAddress, 0.0);
-
-  pending_it->second.timer.start(
-      config_.discovery_timeout,
-      [this, target]() { discovery_timeout(target); });
+  return true;
 }
 
-void AodvProtocol::discovery_timeout(std::uint32_t target) {
-  const auto it = pending_.find(target);
-  if (it == pending_.end()) return;
-  if (has_route(target)) {
-    flush_pending(target);
-    return;
-  }
-  PendingDiscovery& pd = it->second;
-  if (pd.retries >= config_.max_discovery_retries) {
-    ++stats_.discovery_failures;
-    stats_.pending_dropped += pd.queued.size();
-    pending_.erase(it);
-    return;
-  }
-  ++pd.retries;
-  --stats_.rreq_originated;  // counted again inside start_discovery
-  start_discovery(target);
-}
-
-void AodvProtocol::flush_pending(std::uint32_t target) {
-  const auto it = pending_.find(target);
-  if (it == pending_.end()) return;
-  std::vector<net::PacketRef> queued = std::move(it->second.queued);
-  pending_.erase(it);
-  for (net::PacketRef& packet : queued) {
+void AodvProtocol::send_held(std::uint32_t /*target*/,
+                             std::vector<net::PacketRef> held) {
+  for (net::PacketRef& packet : held) {
     ++stats_.data_originated;
     forward_data(std::move(packet));
   }
@@ -273,7 +231,7 @@ void AodvProtocol::handle_rrep(const net::PacketRef& packet,
   update_route(packet.origin(), mac_src, hops_to_me, packet.target_seqno());
 
   if (packet.target() == node().id()) {
-    flush_pending(packet.origin());
+    wait_.release(packet.origin());
     return;
   }
   const auto it = routes_.find(packet.target());
@@ -345,14 +303,7 @@ void AodvProtocol::handle_link_break(std::uint32_t neighbor,
   if (packet.type() == net::PacketType::Data) {
     if (packet.origin() == node().id()) {
       // Re-queue and rediscover; the packet keeps its original timestamp.
-      auto [it, inserted] = pending_.try_emplace(packet.target(),
-                                                 node().scheduler());
-      if (it->second.queued.size() < config_.pending_capacity) {
-        it->second.queued.push_back(packet);
-        if (inserted) start_discovery(packet.target());
-      } else {
-        ++stats_.pending_dropped;
-      }
+      if (!wait_.hold(packet.target(), packet)) ++stats_.pending_dropped;
     } else {
       ++stats_.drops_no_route;
     }

@@ -18,16 +18,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
-#include "util/pooled_containers.hpp"
-#include <unordered_set>
 #include <vector>
 
 #include "core/election.hpp"
 #include "net/duplicate_cache.hpp"
 #include "net/node.hpp"
-#include "net/protocol.hpp"
+#include "proto/route_wait.hpp"
+#include "util/pooled_containers.hpp"
 
 namespace rrnet::proto {
 
@@ -65,7 +62,7 @@ struct AodvStats {
   std::uint64_t pending_dropped = 0;
 };
 
-class AodvProtocol final : public net::Protocol {
+class AodvProtocol final : public RouteWait::Owner {
  public:
   AodvProtocol(net::Node& node, AodvConfig config = {});
 
@@ -92,13 +89,6 @@ class AodvProtocol final : public net::Protocol {
     std::uint32_t seqno = 0;
     bool valid = false;
   };
-  struct PendingDiscovery {
-    explicit PendingDiscovery(des::Scheduler& scheduler) : timer(scheduler) {}
-    des::Timer timer;
-    std::uint32_t retries = 0;
-    std::vector<net::PacketRef> queued;
-  };
-
   void handle_rreq(const net::PacketRef& packet, std::uint32_t mac_src);
   void handle_rrep(const net::PacketRef& packet, std::uint32_t mac_src);
   void handle_rerr(const net::PacketRef& packet, std::uint32_t mac_src);
@@ -106,14 +96,25 @@ class AodvProtocol final : public net::Protocol {
   void relay_rreq(const net::PacketRef& packet);
   void send_rrep(const net::PacketRef& rreq);
   void forward_data(net::PacketRef packet);
-  void start_discovery(std::uint32_t target);
-  void discovery_timeout(std::uint32_t target);
-  void flush_pending(std::uint32_t target);
   void handle_link_break(std::uint32_t neighbor, const net::PacketRef& packet);
   void broadcast_rerr(std::uint32_t unreachable);
   /// Install/refresh a route if fresher (seqno) or equally fresh & shorter.
   void update_route(std::uint32_t target, std::uint32_t via,
                     std::uint16_t hops, std::uint32_t seqno);
+  RouteWait::Limits wait_limits() const override {
+    return {config_.discovery_timeout, config_.max_discovery_retries,
+            config_.pending_capacity};
+  }
+  bool discover(std::uint32_t target, std::uint32_t retries) override;
+  bool route_known(std::uint32_t target) const override {
+    return has_route(target);
+  }
+  void send_held(std::uint32_t target,
+                 std::vector<net::PacketRef> held) override;
+  void gave_up(std::size_t dropped) override {
+    ++stats_.discovery_failures;
+    stats_.pending_dropped += dropped;
+  }
 
   AodvConfig config_;
   des::Rng rng_;
@@ -124,7 +125,7 @@ class AodvProtocol final : public net::Protocol {
   util::PooledUnorderedSet<std::uint64_t> rreq_copy_seen_;  ///< Blind mode
   net::DuplicateCache rerr_seen_;
   net::DuplicateCache delivered_;
-  util::PooledUnorderedMap<std::uint32_t, PendingDiscovery> pending_;
+  RouteWait wait_{*this};
   std::uint32_t my_seqno_ = 0;
   std::uint32_t next_rreq_id_ = 0;
   std::uint32_t next_sequence_ = 0;

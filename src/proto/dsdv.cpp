@@ -15,7 +15,7 @@ constexpr std::uint32_t kEntryBytes = 10;
 }  // namespace
 
 DsdvProtocol::DsdvProtocol(net::Node& node, DsdvConfig config)
-    : net::Protocol(node),
+    : RouteWait::Owner(node),
       config_(config),
       rng_(node.rng().fork("dsdv")),
       periodic_timer_(node.scheduler()),
@@ -138,7 +138,7 @@ void DsdvProtocol::handle_update(const net::PacketRef& packet,
       if (route_usable(route) != was_usable || is_new_destination) {
         significant_change = true;
       }
-      if (route_usable(route)) flush_pending(entry.destination);
+      if (route_usable(route)) wait_.release(entry.destination);
     } else if (entry.seqno == route.seqno && route.next_hop == mac_src) {
       route.refreshed = now;  // our chosen hop re-confirmed the route
     }
@@ -161,14 +161,8 @@ std::uint64_t DsdvProtocol::send_data(std::uint32_t target,
   const std::uint64_t uid = init.uid;
   net::PacketRef packet = net::make_packet(std::move(init));
   if (!has_route(target)) {
-    // Proactive protocol: no discovery to trigger. Buffer briefly — the
-    // next periodic update may bring the route.
-    auto& queue = pending_[target];
-    if (queue.size() >= config_.pending_capacity) {
-      ++stats_.pending_dropped;
-      return uid;
-    }
-    queue.push_back(std::move(packet));
+    // Buffer briefly: the next periodic update may bring the route.
+    if (!wait_.hold(target, std::move(packet))) ++stats_.pending_dropped;
     return uid;
   }
   ++stats_.data_originated;
@@ -176,12 +170,9 @@ std::uint64_t DsdvProtocol::send_data(std::uint32_t target,
   return uid;
 }
 
-void DsdvProtocol::flush_pending(std::uint32_t target) {
-  const auto it = pending_.find(target);
-  if (it == pending_.end()) return;
-  std::vector<net::PacketRef> queued = std::move(it->second);
-  pending_.erase(it);
-  for (net::PacketRef& packet : queued) {
+void DsdvProtocol::send_held(std::uint32_t /*target*/,
+                             std::vector<net::PacketRef> held) {
+  for (net::PacketRef& packet : held) {
     ++stats_.data_originated;
     forward_data(std::move(packet));
   }

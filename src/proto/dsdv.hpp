@@ -14,14 +14,13 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include "util/pooled_containers.hpp"
 #include <vector>
 
 #include "des/rng.hpp"
 #include "des/timer.hpp"
 #include "net/node.hpp"
-#include "net/protocol.hpp"
+#include "proto/route_wait.hpp"
+#include "util/pooled_containers.hpp"
 
 namespace rrnet::proto {
 
@@ -62,7 +61,7 @@ class RouteTableExtension final : public net::PacketExtension {
   const std::vector<DsdvEntry> entries;
 };
 
-class DsdvProtocol final : public net::Protocol {
+class DsdvProtocol final : public RouteWait::Owner {
  public:
   DsdvProtocol(net::Node& node, DsdvConfig config = {});
 
@@ -96,15 +95,20 @@ class DsdvProtocol final : public net::Protocol {
   void forward_data(net::PacketRef packet);
   void handle_link_break(std::uint32_t neighbor);
   void request_triggered_update();
-  void flush_pending(std::uint32_t target);
   [[nodiscard]] bool route_usable(const Route& route) const;
+  // No discovery: held packets wait for an update that brings the route.
+  RouteWait::Limits wait_limits() const override {
+    return {/*timeout=*/0.0, /*max_retries=*/0, config_.pending_capacity};
+  }
+  void send_held(std::uint32_t target,
+                 std::vector<net::PacketRef> held) override;
 
   DsdvConfig config_;
   des::Rng rng_;
   des::Timer periodic_timer_;
   des::Timer triggered_timer_;
   util::PooledUnorderedMap<std::uint32_t, Route> routes_;
-  util::PooledUnorderedMap<std::uint32_t, std::vector<net::PacketRef>> pending_;
+  RouteWait wait_{*this};
   std::uint32_t my_seqno_ = 0;  ///< kept even while reachable
   std::uint32_t next_sequence_ = 0;
   des::Time last_update_ = -1e9;

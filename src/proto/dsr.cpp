@@ -19,7 +19,7 @@ std::uint64_t rreq_key(const net::PacketRef& packet) {
 }  // namespace
 
 DsrProtocol::DsrProtocol(net::Node& node, DsrConfig config)
-    : net::Protocol(node), config_(config), rng_(node.rng().fork("dsr")) {
+    : RouteWait::Owner(node), config_(config), rng_(node.rng().fork("dsr")) {
   RRNET_EXPECTS(config.cache_capacity > 0);
 }
 
@@ -80,14 +80,7 @@ std::uint64_t DsrProtocol::send_data(std::uint32_t target,
 
   const auto it = cache_.find(target);
   if (it == cache_.end()) {
-    auto [pit, inserted] = pending_.try_emplace(target, node().scheduler());
-    PendingDiscovery& pd = pit->second;
-    if (pd.queued.size() >= config_.pending_capacity) {
-      ++stats_.pending_dropped;
-      return uid;
-    }
-    pd.queued.push_back(net::make_packet(std::move(init)));
-    if (inserted) start_discovery(target);
+    if (!wait_.hold(target, std::move(init))) ++stats_.pending_dropped;
     return uid;
   }
   ++stats_.cache_hits;
@@ -115,8 +108,8 @@ void DsrProtocol::forward_on_route(net::PacketRef packet) {
   node().send_packet(packet, route[index + 1], 0.0);
 }
 
-void DsrProtocol::start_discovery(std::uint32_t target) {
-  ++stats_.rreq_originated;
+bool DsrProtocol::discover(std::uint32_t target, std::uint32_t retries) {
+  if (retries == 0) ++stats_.rreq_originated;  // a retry is not a new one
   net::PacketInit init;
   init.type = net::PacketType::RouteRequest;
   init.origin = node().id();
@@ -133,46 +126,23 @@ void DsrProtocol::start_discovery(std::uint32_t target) {
   net::PacketRef rreq = net::make_packet(std::move(init));
   rreq_seen_.observe(rreq_key(rreq));
   node().send_packet(rreq, mac::kBroadcastAddress, 0.0);
-
-  const auto it = pending_.find(target);
-  RRNET_ASSERT(it != pending_.end());
-  it->second.timer.start(config_.discovery_timeout,
-                         [this, target]() { discovery_timeout(target); });
+  return true;
 }
 
-void DsrProtocol::discovery_timeout(std::uint32_t target) {
-  const auto it = pending_.find(target);
-  if (it == pending_.end()) return;
-  if (cache_.count(target) > 0) {
-    flush_pending(target);
-    return;
-  }
-  PendingDiscovery& pd = it->second;
-  if (pd.retries >= config_.max_discovery_retries) {
-    ++stats_.discovery_failures;
-    stats_.pending_dropped += pd.queued.size();
-    pending_.erase(it);
-    return;
-  }
-  ++pd.retries;
-  --stats_.rreq_originated;  // counted again by start_discovery
-  start_discovery(target);
-}
-
-void DsrProtocol::flush_pending(std::uint32_t target) {
-  const auto it = pending_.find(target);
-  if (it == pending_.end()) return;
-  std::vector<net::PacketRef> queued = std::move(it->second.queued);
-  pending_.erase(it);
+void DsrProtocol::send_held(std::uint32_t target,
+                            std::vector<net::PacketRef> held) {
   const auto route_it = cache_.find(target);
   RRNET_ASSERT(route_it != cache_.end());
-  for (net::PacketRef& packet : queued) {
+  // A copy: a send refused at once (full MAC queue) breaks the link and
+  // purges the cached route before the next packet is built.
+  const SourceRoute route = route_it->second;
+  for (net::PacketRef& packet : held) {
     ++stats_.data_originated;
     // Attaching the discovered route changes the immutable header: rebuild.
     net::PacketInit init = packet.to_init();
-    init.extension = net::make_extension<SourceRouteExtension>(route_it->second);
+    init.extension = net::make_extension<SourceRouteExtension>(route);
     init.payload_bytes +=
-        static_cast<std::uint32_t>(route_it->second.size()) * kRouteEntryBytes;
+        static_cast<std::uint32_t>(route.size()) * kRouteEntryBytes;
     init.actual_hops = 0;
     forward_on_route(net::make_packet(std::move(init)));
   }
@@ -233,7 +203,7 @@ void DsrProtocol::handle_rrep(const net::PacketRef& packet) {
   if (packet.target() == node().id()) {
     // The reply's route is [destination ... us]; the forward route to the
     // destination was cached by cache_route above. Release waiting data.
-    if (pending_.count(packet.origin()) > 0) flush_pending(packet.origin());
+    wait_.release(packet.origin());
     return;
   }
   net::PacketRef copy = packet;
@@ -309,19 +279,14 @@ void DsrProtocol::on_send_done(const net::PacketRef& packet, bool success,
   // (no salvaging in this implementation).
   if (packet.type() == net::PacketType::Data &&
       packet.origin() == node().id()) {
-    auto [it, inserted] = pending_.try_emplace(packet.target(),
-                                               node().scheduler());
-    if (it->second.queued.size() < config_.pending_capacity) {
-      // Dropping the stale route changes the immutable header: rebuild the
-      // packet without the extension (it keeps its original timestamp).
-      net::PacketInit requeued = packet.to_init();
-      requeued.payload_bytes -= static_cast<std::uint32_t>(
-          route_of(packet).size() * kRouteEntryBytes);
-      requeued.extension.reset();
-      requeued.actual_hops = 0;
-      it->second.queued.push_back(net::make_packet(std::move(requeued)));
-      if (inserted) start_discovery(packet.target());
-    } else {
+    // Dropping the stale route changes the immutable header: rebuild the
+    // packet without the extension (it keeps its original timestamp).
+    net::PacketInit requeued = packet.to_init();
+    requeued.payload_bytes -= static_cast<std::uint32_t>(
+        route_of(packet).size() * kRouteEntryBytes);
+    requeued.extension.reset();
+    requeued.actual_hops = 0;
+    if (!wait_.hold(packet.target(), std::move(requeued))) {
       ++stats_.pending_dropped;
     }
   } else if (packet.type() == net::PacketType::Data) {

@@ -14,15 +14,13 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include "util/pooled_containers.hpp"
 #include <vector>
 
 #include "des/rng.hpp"
-#include "des/timer.hpp"
 #include "net/duplicate_cache.hpp"
 #include "net/node.hpp"
-#include "net/protocol.hpp"
+#include "proto/route_wait.hpp"
+#include "util/pooled_containers.hpp"
 
 namespace rrnet::proto {
 
@@ -65,7 +63,7 @@ class SourceRouteExtension final : public net::PacketExtension {
   const SourceRoute route;
 };
 
-class DsrProtocol final : public net::Protocol {
+class DsrProtocol final : public RouteWait::Owner {
  public:
   DsrProtocol(net::Node& node, DsrConfig config = {});
 
@@ -85,20 +83,24 @@ class DsrProtocol final : public net::Protocol {
   [[nodiscard]] const DsrStats& dsr_stats() const noexcept { return stats_; }
 
  private:
-  struct PendingDiscovery {
-    explicit PendingDiscovery(des::Scheduler& scheduler) : timer(scheduler) {}
-    des::Timer timer;
-    std::uint32_t retries = 0;
-    std::vector<net::PacketRef> queued;
-  };
-
   void handle_rreq(const net::PacketRef& packet);
   void handle_rrep(const net::PacketRef& packet);
   void handle_rerr(const net::PacketRef& packet);
   void handle_data(const net::PacketRef& packet);
-  void start_discovery(std::uint32_t target);
-  void discovery_timeout(std::uint32_t target);
-  void flush_pending(std::uint32_t target);
+  RouteWait::Limits wait_limits() const override {
+    return {config_.discovery_timeout, config_.max_discovery_retries,
+            config_.pending_capacity};
+  }
+  bool discover(std::uint32_t target, std::uint32_t retries) override;
+  bool route_known(std::uint32_t target) const override {
+    return has_cached_route(target);
+  }
+  void send_held(std::uint32_t target,
+                 std::vector<net::PacketRef> held) override;
+  void gave_up(std::size_t dropped) override {
+    ++stats_.discovery_failures;
+    stats_.pending_dropped += dropped;
+  }
   /// Send a source-routed packet to the next hop on its route.
   void forward_on_route(net::PacketRef packet);
   void cache_route(const SourceRoute& route);
@@ -112,7 +114,7 @@ class DsrProtocol final : public net::Protocol {
   net::DuplicateCache rreq_seen_;
   net::DuplicateCache rerr_seen_;
   net::DuplicateCache delivered_;
-  util::PooledUnorderedMap<std::uint32_t, PendingDiscovery> pending_;
+  RouteWait wait_{*this};
   std::uint32_t next_rreq_id_ = 0;
   std::uint32_t next_sequence_ = 0;
   DsrStats stats_;

@@ -18,21 +18,15 @@ FloodingProtocol::FloodingProtocol(net::Node& node, FloodingConfig config,
 }
 
 void FloodingProtocol::start() {
-  const phy::Channel& channel = node().network().channel();
-  // RSSI normalization span for the signal-strength policy: the weakest
-  // decodable signal arrives from the edge of the nominal range, the
-  // strongest realistic one from a neighbor a tenth of the range away.
-  rssi_min_dbm_ = channel.params().rx_threshold_dbm;
-  rssi_max_dbm_ = channel.model().mean_rx_power_dbm(
-      channel.params().tx_power_dbm, 0.1 * channel.nominal_range_m());
+  rssi_span_ = core::rssi_span(node().network().channel());
 }
 
 core::ElectionContext FloodingProtocol::make_context(
     const phy::RxInfo& info) const noexcept {
   core::ElectionContext ctx;
   ctx.rssi_dbm = info.rssi_dbm;
-  ctx.rssi_min_dbm = rssi_min_dbm_;
-  ctx.rssi_max_dbm = rssi_max_dbm_;
+  ctx.rssi_min_dbm = rssi_span_.min_dbm;
+  ctx.rssi_max_dbm = rssi_span_.max_dbm;
   return ctx;
 }
 
@@ -75,14 +69,15 @@ void FloodingProtocol::on_packet(const net::PacketRef& packet,
   const std::uint64_t key = packet.flood_key();
   const bool is_new = seen_.observe(key);
 
-  if (is_new && packet.target() == node().id()) {
+  if (packet.target() == node().id()) {
+    // Addressed here: deliver the first copy, relay none.
+    if (!is_new) return;
     net::PacketRef delivered = packet;
     delivered.hop().actual_hops += 1;  // hops traveled to reach this node
     ++stats_.delivered;
     node().deliver_to_app(delivered);
-    if (!config_.forward_at_target) return;
+    return;
   }
-  if (packet.target() == node().id() && !config_.forward_at_target) return;
 
   if (config_.blind) {
     // Original flooding: rebroadcast once per (packet, transmitting

@@ -32,7 +32,6 @@ struct FloodingConfig {
   std::uint8_t ttl = 32;         ///< max relays per packet
   bool blind = false;            ///< original flooding (per-copy rebroadcast)
   std::uint32_t counter_threshold = 0;  ///< k>0: suppress after k duplicates
-  bool forward_at_target = false;       ///< destination also rebroadcasts
 };
 
 struct FloodingStats {
@@ -81,8 +80,7 @@ class FloodingProtocol : public net::Protocol {
   core::ElectionTable elections_;
   des::Rng rng_;
   std::uint32_t next_sequence_ = 0;
-  double rssi_min_dbm_ = -64.0;
-  double rssi_max_dbm_ = 0.0;
+  core::RssiSpan rssi_span_;
   FloodingStats stats_;
 };
 

@@ -9,7 +9,7 @@
 namespace rrnet::proto {
 
 GradientProtocol::GradientProtocol(net::Node& node, GradientConfig config)
-    : net::Protocol(node),
+    : RouteWait::Owner(node),
       config_(config),
       rng_(node.rng().fork("gradient")) {}
 
@@ -41,23 +41,15 @@ std::uint64_t GradientProtocol::send_data(std::uint32_t target,
   init.ttl = config_.ttl;
   init.payload_bytes = payload_bytes;
   init.created_at = node().scheduler().now();
+  const std::uint64_t uid = init.uid;
 
   const auto it = table_.find(target);
   if (it == table_.end()) {
-    auto [pit, inserted] = pending_.try_emplace(target, node().scheduler());
-    PendingDiscovery& pd = pit->second;
-    if (pd.queued.size() >= config_.pending_capacity) {
-      ++stats_.pending_dropped;
-      return init.uid;
-    }
-    const std::uint64_t uid = init.uid;
-    pd.queued.push_back(net::make_packet(std::move(init)));
-    if (inserted) start_discovery(target);
+    if (!wait_.hold(target, std::move(init))) ++stats_.pending_dropped;
     return uid;
   }
   init.expected_hops = it->second.first;  // my height on the gradient
   ++stats_.data_originated;
-  const std::uint64_t uid = init.uid;
   originate(net::make_packet(std::move(init)));
   return uid;
 }
@@ -70,8 +62,8 @@ void GradientProtocol::originate(net::PacketRef packet) {
   node().send_packet(packet, mac::kBroadcastAddress, 0.0);
 }
 
-void GradientProtocol::start_discovery(std::uint32_t target) {
-  ++stats_.discoveries_started;
+bool GradientProtocol::discover(std::uint32_t target, std::uint32_t retries) {
+  if (retries == 0) ++stats_.discoveries_started;  // a retry is not a new one
   net::PacketInit init;
   init.type = net::PacketType::PathDiscovery;
   init.origin = node().id();
@@ -84,39 +76,14 @@ void GradientProtocol::start_discovery(std::uint32_t target) {
   net::PacketRef packet = net::make_packet(std::move(init));
   seen_.observe(packet.flood_key());
   node().send_packet(packet, mac::kBroadcastAddress, 0.0);
-
-  const auto it = pending_.find(target);
-  RRNET_ASSERT(it != pending_.end());
-  it->second.timer.start(config_.discovery_timeout,
-                         [this, target]() { discovery_timeout(target); });
+  return true;
 }
 
-void GradientProtocol::discovery_timeout(std::uint32_t target) {
-  const auto it = pending_.find(target);
-  if (it == pending_.end()) return;
-  if (table_.count(target) > 0) {
-    flush_pending(target);
-    return;
-  }
-  PendingDiscovery& pd = it->second;
-  if (pd.retries >= config_.max_discovery_retries) {
-    stats_.pending_dropped += pd.queued.size();
-    pending_.erase(it);
-    return;
-  }
-  ++pd.retries;
-  --stats_.discoveries_started;
-  start_discovery(target);
-}
-
-void GradientProtocol::flush_pending(std::uint32_t target) {
-  const auto it = pending_.find(target);
-  if (it == pending_.end()) return;
-  std::vector<net::PacketRef> queued = std::move(it->second.queued);
-  pending_.erase(it);
+void GradientProtocol::send_held(std::uint32_t target,
+                                 std::vector<net::PacketRef> held) {
   const auto entry = table_.find(target);
   RRNET_ASSERT(entry != table_.end());
-  for (net::PacketRef& packet : queued) {
+  for (net::PacketRef& packet : held) {
     packet.hop().expected_hops = entry->second.first;
     ++stats_.data_originated;
     originate(std::move(packet));
@@ -128,7 +95,7 @@ void GradientProtocol::handle_discovery(const net::PacketRef& packet) {
                static_cast<std::uint16_t>(packet.actual_hops() + 1));
   const bool is_new = seen_.observe(packet.flood_key());
   if (packet.target() == node().id()) {
-    if (is_new && pending_.count(packet.origin()) == 0) {
+    if (is_new && !wait_.waiting(packet.origin())) {
       // Answer with a gradient-forwarded reply so the requester learns its
       // distance to us (symmetric to RR's path reply).
       const auto it = table_.find(packet.origin());
@@ -174,8 +141,8 @@ void GradientProtocol::handle_forwarded(const net::PacketRef& packet) {
       if (packet.type() == net::PacketType::Data) {
         ++stats_.data_delivered;
         node().deliver_to_app(delivered);
-      } else if (pending_.count(packet.origin()) > 0) {
-        flush_pending(packet.origin());
+      } else {
+        wait_.release(packet.origin());
       }
     }
     return;

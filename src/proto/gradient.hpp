@@ -11,13 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include "util/pooled_containers.hpp"
 #include <vector>
 
 #include "net/duplicate_cache.hpp"
 #include "net/node.hpp"
-#include "net/protocol.hpp"
+#include "proto/route_wait.hpp"
+#include "util/pooled_containers.hpp"
 
 namespace rrnet::proto {
 
@@ -41,7 +40,7 @@ struct GradientStats {
   std::uint64_t pending_dropped = 0;
 };
 
-class GradientProtocol final : public net::Protocol {
+class GradientProtocol final : public RouteWait::Owner {
  public:
   GradientProtocol(net::Node& node, GradientConfig config = {});
 
@@ -57,20 +56,23 @@ class GradientProtocol final : public net::Protocol {
   }
 
  private:
-  struct PendingDiscovery {
-    explicit PendingDiscovery(des::Scheduler& scheduler) : timer(scheduler) {}
-    des::Timer timer;
-    std::uint32_t retries = 0;
-    std::vector<net::PacketRef> queued;
-  };
-
   void update_table(std::uint32_t origin, std::uint32_t sequence,
                     std::uint16_t hops_to_me);
   void handle_discovery(const net::PacketRef& packet);
   void handle_forwarded(const net::PacketRef& packet);
-  void start_discovery(std::uint32_t target);
-  void discovery_timeout(std::uint32_t target);
-  void flush_pending(std::uint32_t target);
+  RouteWait::Limits wait_limits() const override {
+    return {config_.discovery_timeout, config_.max_discovery_retries,
+            config_.pending_capacity};
+  }
+  bool discover(std::uint32_t target, std::uint32_t retries) override;
+  bool route_known(std::uint32_t target) const override {
+    return table_.count(target) > 0;
+  }
+  void send_held(std::uint32_t target,
+                 std::vector<net::PacketRef> held) override;
+  void gave_up(std::size_t dropped) override {
+    stats_.pending_dropped += dropped;
+  }
   void originate(net::PacketRef packet);
 
   GradientConfig config_;
@@ -81,7 +83,7 @@ class GradientProtocol final : public net::Protocol {
   net::DuplicateCache seen_;
   net::DuplicateCache relayed_;
   net::DuplicateCache delivered_;
-  util::PooledUnorderedMap<std::uint32_t, PendingDiscovery> pending_;
+  RouteWait wait_{*this};
   std::uint32_t next_sequence_ = 0;
   GradientStats stats_;
 };

@@ -19,7 +19,7 @@ constexpr std::size_t kRelayStateCapacity = 8192;
 }  // namespace
 
 RoutelessProtocol::RoutelessProtocol(net::Node& node, RoutelessConfig config)
-    : net::Protocol(node),
+    : RouteWait::Owner(node),
       config_(config),
       gradient_policy_(config.lambda, config.unknown_penalty_hops),
       discovery_policy_(config.discovery_lambda),
@@ -29,10 +29,7 @@ RoutelessProtocol::RoutelessProtocol(net::Node& node, RoutelessConfig config)
       rng_(node.rng().fork("routeless")) {}
 
 void RoutelessProtocol::start() {
-  const phy::Channel& channel = node().network().channel();
-  rssi_min_dbm_ = channel.params().rx_threshold_dbm;
-  rssi_max_dbm_ = channel.model().mean_rx_power_dbm(
-      channel.params().tx_power_dbm, 0.1 * channel.nominal_range_m());
+  rssi_span_ = core::rssi_span(node().network().channel());
 }
 
 bool RoutelessProtocol::knows_target(std::uint32_t target) const {
@@ -105,15 +102,7 @@ std::uint64_t RoutelessProtocol::send_data(std::uint32_t target,
 
   const auto it = table_.find(target);
   if (it == table_.end()) {
-    auto [pit, inserted] =
-        pending_.try_emplace(target, node().scheduler());
-    PendingDiscovery& pd = pit->second;
-    if (pd.queued.size() >= config_.pending_capacity) {
-      ++stats_.pending_dropped;
-      return uid;
-    }
-    pd.queued.push_back(net::make_packet(std::move(init)));
-    if (inserted) start_discovery(target);
+    if (!wait_.hold(target, std::move(init))) ++stats_.pending_dropped;
     return uid;
   }
   init.expected_hops =
@@ -123,8 +112,8 @@ std::uint64_t RoutelessProtocol::send_data(std::uint32_t target,
   return uid;
 }
 
-void RoutelessProtocol::start_discovery(std::uint32_t target) {
-  ++stats_.discoveries_started;
+bool RoutelessProtocol::discover(std::uint32_t target, std::uint32_t retries) {
+  ++(retries == 0 ? stats_.discoveries_started : stats_.discovery_retries);
   net::PacketInit init;
   init.type = net::PacketType::PathDiscovery;
   init.origin = node().id();
@@ -138,46 +127,18 @@ void RoutelessProtocol::start_discovery(std::uint32_t target) {
   net::PacketRef packet = net::make_packet(std::move(init));
   seen_.observe(packet.flood_key());
   node().send_packet(packet, mac::kBroadcastAddress, 0.0);
-
-  const auto it = pending_.find(target);
-  RRNET_ASSERT(it != pending_.end());
-  it->second.timer.start(config_.discovery_timeout,
-                         [this, target]() { discovery_timeout(target); });
+  return true;
 }
 
-void RoutelessProtocol::discovery_timeout(std::uint32_t target) {
-  const auto it = pending_.find(target);
-  if (it == pending_.end()) return;
-  if (table_.count(target) > 0) {
-    // Learned the distance passively in the meantime.
-    flush_pending(target);
-    return;
-  }
-  PendingDiscovery& pd = it->second;
-  if (pd.retries >= config_.max_discovery_retries) {
-    ++stats_.discovery_failures;
-    stats_.pending_dropped += pd.queued.size();
-    pending_.erase(it);
-    return;
-  }
-  ++pd.retries;
-  ++stats_.discovery_retries;
-  start_discovery(target);
-  --stats_.discoveries_started;  // a retry, not a new discovery
-}
-
-void RoutelessProtocol::flush_pending(std::uint32_t target) {
-  const auto it = pending_.find(target);
-  if (it == pending_.end()) return;
-  std::vector<net::PacketRef> queued = std::move(it->second.queued);
-  pending_.erase(it);
+void RoutelessProtocol::send_held(std::uint32_t target,
+                                  std::vector<net::PacketRef> held) {
   const auto entry = table_.find(target);
   RRNET_ASSERT(entry != table_.end());
   const std::uint16_t expected =
       entry->second.hops > 0
           ? static_cast<std::uint16_t>(entry->second.hops - 1)
           : 0;
-  for (net::PacketRef& packet : queued) {
+  for (net::PacketRef& packet : held) {
     packet.hop().expected_hops = expected;
     ++stats_.data_originated;
     originate_forwarded(std::move(packet));
@@ -275,8 +236,8 @@ void RoutelessProtocol::handle_discovery(const net::PacketRef& packet,
   }
   core::ElectionContext ctx;
   ctx.rssi_dbm = info.rssi_dbm;
-  ctx.rssi_min_dbm = rssi_min_dbm_;
-  ctx.rssi_max_dbm = rssi_max_dbm_;
+  ctx.rssi_min_dbm = rssi_span_.min_dbm;
+  ctx.rssi_max_dbm = rssi_span_.max_dbm;
   const core::BackoffPolicy& policy =
       config_.ssaf_discovery
           ? static_cast<const core::BackoffPolicy&>(ssaf_policy_)
@@ -332,7 +293,7 @@ void RoutelessProtocol::handle_forwarded(const net::PacketRef& packet,
         ++stats_.replies_delivered;
         // Path discovery complete: the table entry for the reply's origin
         // (the destination we were looking for) was just updated.
-        if (pending_.count(packet.origin()) > 0) flush_pending(packet.origin());
+        wait_.release(packet.origin());
       }
     }
     return;

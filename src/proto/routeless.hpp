@@ -16,9 +16,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <unordered_map>
-#include "util/pooled_containers.hpp"
 #include <vector>
 
 #include "core/arbiter.hpp"
@@ -26,7 +23,9 @@
 #include "core/election.hpp"
 #include "net/duplicate_cache.hpp"
 #include "net/node.hpp"
-#include "net/protocol.hpp"
+#include "proto/route_wait.hpp"
+#include "util/pool.hpp"
+#include "util/pooled_containers.hpp"
 
 namespace rrnet::proto {
 
@@ -69,7 +68,7 @@ struct RoutelessStats {
   std::uint64_t ttl_expired = 0;
 };
 
-class RoutelessProtocol final : public net::Protocol {
+class RoutelessProtocol final : public RouteWait::Owner {
  public:
   RoutelessProtocol(net::Node& node, RoutelessConfig config = {});
 
@@ -108,22 +107,27 @@ class RoutelessProtocol final : public net::Protocol {
     std::uint8_t re_relays_used = 0;          ///< bounded resend budget
     net::PacketRef relayed_copy;     ///< for re-relay on retransmission
   };
-  struct PendingDiscovery {
-    explicit PendingDiscovery(des::Scheduler& scheduler) : timer(scheduler) {}
-    des::Timer timer;
-    std::uint32_t retries = 0;
-    std::vector<net::PacketRef> queued;
-  };
-
   void update_table(std::uint32_t origin, std::uint32_t sequence,
                     std::uint16_t hops_to_me);
   void handle_discovery(const net::PacketRef& packet, const phy::RxInfo& info);
   void handle_forwarded(const net::PacketRef& packet, std::uint32_t mac_src);
   void handle_netack(const net::PacketRef& packet);
   void send_reply(const net::PacketRef& discovery);
-  void start_discovery(std::uint32_t target);
-  void discovery_timeout(std::uint32_t target);
-  void flush_pending(std::uint32_t target);
+  RouteWait::Limits wait_limits() const override {
+    return {config_.discovery_timeout, config_.max_discovery_retries,
+            config_.pending_capacity};
+  }
+  bool discover(std::uint32_t target, std::uint32_t retries) override;
+  bool route_known(std::uint32_t target) const override {
+    // Learned passively while waiting, or from the path reply.
+    return table_.count(target) > 0;
+  }
+  void send_held(std::uint32_t target,
+                 std::vector<net::PacketRef> held) override;
+  void gave_up(std::size_t dropped) override {
+    ++stats_.discovery_failures;
+    stats_.pending_dropped += dropped;
+  }
   /// Originate a PathReply/Data packet: broadcast it and become its arbiter.
   void originate_forwarded(net::PacketRef packet);
   void do_relay(std::uint64_t key, net::PacketRef copy, des::Time delay);
@@ -137,8 +141,7 @@ class RoutelessProtocol final : public net::Protocol {
   core::HopGradientBackoff gradient_policy_;
   core::UniformBackoff discovery_policy_;
   core::SignalStrengthBackoff ssaf_policy_;
-  double rssi_min_dbm_ = -64.0;
-  double rssi_max_dbm_ = 0.0;
+  core::RssiSpan rssi_span_;
   core::ElectionTable elections_;
   core::Arbiter arbiter_;
   des::Rng rng_;
@@ -147,9 +150,12 @@ class RoutelessProtocol final : public net::Protocol {
   net::DuplicateCache delivered_;
   util::PooledUnorderedMap<std::uint64_t, RelayState> relay_states_;
   std::deque<std::uint64_t> relay_state_order_;
-  util::PooledUnorderedMap<std::uint32_t, PendingDiscovery> pending_;
+  RouteWait wait_{*this};
   std::uint32_t next_sequence_ = 0;
   RoutelessStats stats_;
 };
+
+// Past this size every node's protocol would leave the pools for the heap.
+static_assert(sizeof(RoutelessProtocol) <= util::kSizeClassMax);
 
 }  // namespace rrnet::proto

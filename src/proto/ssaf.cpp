@@ -9,7 +9,6 @@ FloodingConfig to_flooding_config(const SsafConfig& config) {
   fc.ttl = config.ttl;
   fc.blind = false;
   fc.counter_threshold = config.counter_threshold;
-  fc.forward_at_target = config.forward_at_target;
   return fc;
 }
 }  // namespace

@@ -17,7 +17,6 @@ struct SsafConfig {
   des::Time lambda = 10e-3;      ///< backoff scale
   double jitter_fraction = 0.1;  ///< random tie-break share of the backoff
   std::uint8_t ttl = 32;
-  bool forward_at_target = false;
   /// Duplicates overheard during the backoff before conceding. SSAF runs a
   /// local leader election per packet per neighborhood: an overheard
   /// rebroadcast IS the winner's announcement, so the default cancels after

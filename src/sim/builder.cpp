@@ -330,7 +330,6 @@ ScenarioResult SimInstance::result() const {
   r.mean_delay_s = flows_.delay().empty() ? 0.0 : flows_.delay().mean();
   r.mean_hops = flows_.hops().empty() ? 0.0 : flows_.hops().mean();
   r.mac_packets = network_->total_mac_tx();
-  r.channel_transmissions = network_->channel().stats().transmissions;
   r.events_executed = scheduler_.executed_count();
   if (config_.track_energy) {
     double joules = 0.0;
@@ -355,6 +354,7 @@ ScenarioResult SimInstance::result() const {
   // this by building, running, and reading each instance on one thread.
   namespace m = obs::metric;
   network_->snapshot_metrics(r.metrics);
+  r.channel_transmissions = r.metrics.value(m::kPhyTransmissions);
   r.metrics.add(m::kDesEventsExecuted, scheduler_.executed_count());
   r.metrics.add(m::kDesEventsInline, scheduler_.inline_count());
   r.metrics.set_max(m::kDesHeapHighWater, scheduler_.heap_high_water());

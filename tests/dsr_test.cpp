@@ -142,6 +142,25 @@ TEST(Dsr, CacheCapacityEvicts) {
   EXPECT_GE(dsr_of(tn.node(0)).dsr_stats().cache_evictions, 1u);
 }
 
+TEST(Dsr, ReleasedPacketsKeepTheirRouteThroughALinkBreak) {
+  // A one-frame MAC queue refuses the third released packet on the spot:
+  // that send reports a link break, which purges the cached route while
+  // the rest of the held packets are still being built. Each of them must
+  // still carry the route the reply brought.
+  mac::MacParams mac;
+  mac.queue_capacity = 1;
+  auto tn = rrnet::testing::make_line_net(3, /*seed=*/7, mac);
+  attach_dsr(tn);
+  int deliveries = 0;
+  tn.node(2).set_delivery_handler([&](const net::PacketRef&) { ++deliveries; });
+  for (int i = 0; i < 4; ++i) tn.node(0).protocol().send_data(2, 64);
+  tn.scheduler.run_until(30.0);
+  const DsrStats& stats = dsr_of(tn.node(0)).dsr_stats();
+  EXPECT_GE(stats.link_breaks, 1u);
+  EXPECT_EQ(stats.drops_bad_route, 0u);
+  EXPECT_EQ(deliveries, 4);
+}
+
 TEST(DsrScenario, WorksThroughTheScenarioHarness) {
   sim::ScenarioConfig config;
   config.seed = 8;
